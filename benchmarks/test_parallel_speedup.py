@@ -78,12 +78,11 @@ def test_tiny_inputs_fall_back_to_serial(monkeypatch):
 
     constructed = []
 
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            constructed.append(args)
-            raise AssertionError("WorkerPool built for a serial-size input")
+    def no_pool(*args, **kwargs):
+        constructed.append(args)
+        raise AssertionError("worker pool built for a serial-size input")
 
-    monkeypatch.setattr(runner_mod, "WorkerPool", NoPool)
+    monkeypatch.setattr(runner_mod, "make_pool", no_pool)
     wf = generate("montage", 15, rng=9, sigma_ratio=0.5)
     records = run_point(
         wf, PAPER_PLATFORM, "heft_budg", 2.0, n_reps, 9, workers=4

@@ -152,6 +152,12 @@ class ClusterWorker:
             return
         self._closed.set()
         if self._listener is not None:
+            # On Linux, close() alone does not wake the thread blocked in
+            # accept(); shutdown() does, so the join below returns at once.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:  # pragma: no cover - already closed
