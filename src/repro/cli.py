@@ -975,6 +975,7 @@ def _run_faults(args: argparse.Namespace) -> int:
 def _run_ledger(args: argparse.Namespace) -> int:
     """The ``ledger`` subcommand group: archive, query, gate."""
     import json
+    from functools import partial
 
     from .obs.ledger import (
         RunLedger,
@@ -1138,50 +1139,38 @@ def _run_ledger(args: argparse.Namespace) -> int:
                 return 2
             # A BENCH document may carry a simulation baseline, a load
             # baseline, or both; gate every kind it has.
-            baseline = load_baseline = None
-            errors = []
-            try:
-                baseline = extract_baseline(document)
-            except ValueError as exc:
-                errors.append(str(exc))
-            try:
-                load_baseline = extract_load_baseline(document)
-            except ValueError as exc:
-                errors.append(str(exc))
-            if baseline is None and load_baseline is None:
-                print(f"error: cannot load baseline: {'; '.join(errors)}",
-                      file=sys.stderr)
-                return 2
-            ok = True
-            any_deltas = False
-            if baseline is not None:
-                report = compare_to_baseline(
-                    ledger, baseline,
+            gates = (
+                (extract_baseline, partial(
+                    compare_to_baseline,
                     makespan_threshold=args.threshold,
                     cost_threshold=args.cost_threshold,
                     success_threshold=args.success_threshold,
-                    stat=args.stat,
-                    confidence=args.confidence,
-                )
-                print(report.render())
-                ok = ok and report.ok
-                any_deltas = any_deltas or bool(report.deltas)
-            if load_baseline is not None:
-                load_report = compare_load_to_baseline(
-                    ledger, load_baseline,
+                )),
+                (extract_load_baseline, partial(
+                    compare_load_to_baseline,
                     rps_threshold=args.rps_threshold,
                     p99_threshold=args.p99_threshold,
-                    stat=args.stat,
-                    confidence=args.confidence,
-                )
-                print(load_report.render())
-                ok = ok and load_report.ok
-                any_deltas = any_deltas or bool(load_report.deltas)
-            if not any_deltas:
+                )),
+            )
+            reports, errors = [], []
+            for extract, compare in gates:
+                try:
+                    baseline = extract(document)
+                except ValueError as exc:
+                    errors.append(str(exc))
+                    continue
+                reports.append(compare(ledger, baseline, stat=args.stat,
+                                       confidence=args.confidence))
+                print(reports[-1].render())
+            if not reports:
+                print(f"error: cannot load baseline: {'; '.join(errors)}",
+                      file=sys.stderr)
+                return 2
+            if not any(report.deltas for report in reports):
                 print("error: no baseline group found in the ledger",
                       file=sys.stderr)
                 return 2
-            return 0 if ok else 1
+            return 0 if all(report.ok for report in reports) else 1
 
     return 1  # pragma: no cover - argparse guards subcommands
 

@@ -23,8 +23,10 @@ On top of the archive sit the regression helpers:
 :func:`baseline_from_ledger` folds the latest runs into a per-group
 baseline (stored in ``BENCH_*.json``), and :func:`compare_to_baseline`
 re-measures the ledger against such a baseline — the ``repro-exp ledger
-regress`` CI gate. Simulated makespans and costs are deterministic given
-the seeds, so baselines transfer across machines.
+regress`` CI gate. :func:`compare_load_to_baseline` gates archived load
+runs through the same core, under its own gate table. Simulated
+makespans and costs are deterministic given the seeds, so baselines
+transfer across machines.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field, fields as dataclass_fields
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from .events import RUN_RECORDED, EventBus
 
@@ -57,9 +61,7 @@ __all__ = [
     "compare_load_to_baseline",
     "welch_slowdown",
     "GroupDelta",
-    "LoadDelta",
     "RegressionReport",
-    "LoadRegressionReport",
 ]
 
 #: Schema history (tracked via SQLite ``PRAGMA user_version``):
@@ -601,12 +603,7 @@ class RunLedger:
         ``makespan``/``cost``/``success_rate`` means; the planned numbers
         average over every row.
         """
-        rows = self.runs(limit=0)
-        grouped: Dict[str, List[RunRow]] = {}
-        for row in rows:  # rows are newest-first
-            bucket = grouped.setdefault(row.group_key(), [])
-            if latest_per_group <= 0 or len(bucket) < latest_per_group:
-                bucket.append(row)
+        grouped = _latest_per_group(self.runs(limit=0), latest_per_group)
         out: Dict[str, Dict[str, float]] = {}
         for key, bucket in sorted(grouped.items()):
             stats: Dict[str, float] = {
@@ -771,6 +768,17 @@ def _mean(values: Sequence[Optional[float]]) -> float:
     return sum(cleaned) / len(cleaned) if cleaned else 0.0
 
 
+def _latest_per_group(rows: Sequence[Any], latest: int) -> Dict[str, List[Any]]:
+    """Bucket newest-first ``rows`` by ``group_key()``, keeping each
+    group's newest ``latest`` rows (``latest <= 0`` keeps them all)."""
+    grouped: Dict[str, List[Any]] = {}
+    for row in rows:
+        bucket = grouped.setdefault(row.group_key(), [])
+        if latest <= 0 or len(bucket) < latest:
+            bucket.append(row)
+    return grouped
+
+
 def _pool_sample_stats(
     per_row: Any,
 ) -> Optional[Tuple[float, float, int]]:
@@ -844,6 +852,34 @@ def welch_slowdown(
     return t_stat > t_crit, t_stat, t_crit
 
 
+def _pool_load_rows(rows: Sequence[LoadRunRow]) -> Dict[str, float]:
+    """Fold one group's load rows into baseline stats.
+
+    Rates and percentiles are plain means over the rows; latency sample
+    stats pool exactly via :func:`_pool_sample_stats` (each row carries
+    the exact mean/std over its completed requests).
+    """
+    stats: Dict[str, float] = {
+        "n_runs": float(len(rows)),
+        "offered_rps": _mean([r.offered_rps for r in rows]),
+        "achieved_rps": _mean([r.achieved_rps for r in rows]),
+        "p50_s": _mean([r.p50_s for r in rows]),
+        "p95_s": _mean([r.p95_s for r in rows]),
+        "p99_s": _mean([r.p99_s for r in rows]),
+        "cost_total": _mean([r.cost_total for r in rows]),
+    }
+    pooled = _pool_sample_stats(
+        {"mean": r.latency_mean_s, "std": r.latency_std_s,
+         "n": r.n_ok + r.n_cached}
+        for r in rows
+    )
+    if pooled is not None:
+        stats["latency_mean_s"] = pooled[0]
+        stats["latency_std_s"] = pooled[1]
+        stats["n_samples"] = float(pooled[2])
+    return stats
+
+
 def baseline_from_ledger(
     ledger: RunLedger, *, latest_per_group: int = 0
 ) -> Dict[str, Dict[str, float]]:
@@ -862,99 +898,36 @@ def baseline_from_ledger(
     }
 
 
-@dataclass(frozen=True)
-class GroupDelta:
-    """One baseline group re-measured against the current ledger."""
+def load_baseline_from_ledger(
+    ledger: RunLedger, *, latest_per_group: int = 0
+) -> Dict[str, Dict[str, float]]:
+    """Fold archived load runs into a ``"load_baseline"`` payload.
 
-    group: str
-    baseline_makespan: float
-    current_makespan: float
-    baseline_cost: float
-    current_cost: float
-    n_runs: int
-    baseline_success: float = 1.0
-    current_success: float = 1.0
-    #: Welch-test annotations; ``stat_tested`` stays False when either
-    #: side lacked usable sample stats and the fixed threshold judged.
-    stat_tested: bool = False
-    t_stat: float = 0.0
-    t_crit: float = 0.0
-
-    @property
-    def makespan_change(self) -> float:
-        """Fractional makespan change (+0.2 = 20% slower)."""
-        if self.baseline_makespan <= 0.0:
-            return 0.0
-        return self.current_makespan / self.baseline_makespan - 1.0
-
-    @property
-    def cost_change(self) -> float:
-        """Fractional cost change (+0.2 = 20% more expensive)."""
-        if self.baseline_cost <= 0.0:
-            return 0.0
-        return self.current_cost / self.baseline_cost - 1.0
-
-    @property
-    def success_change(self) -> float:
-        """Absolute success-rate change (-0.1 = 10 points fewer successes)."""
-        return self.current_success - self.baseline_success
+    Groups by each row's label (or config fingerprint when unlabeled);
+    ``latest_per_group`` keeps only each group's newest N rows.
+    """
+    grouped = _latest_per_group(ledger.load_runs(limit=0), latest_per_group)
+    return {key: _pool_load_rows(rows) for key, rows in sorted(grouped.items())}
 
 
-@dataclass
-class RegressionReport:
-    """Outcome of :func:`compare_to_baseline` (drives the CI exit code)."""
+def _extract(
+    document: Mapping[str, Any], key: str, required: str, *, bare: bool
+) -> Dict[str, Dict[str, float]]:
+    """The ``key`` groups of a ``BENCH_*.json`` document.
 
-    deltas: List[GroupDelta] = field(default_factory=list)
-    regressions: List[GroupDelta] = field(default_factory=list)
-    missing_groups: List[str] = field(default_factory=list)
-    makespan_threshold: float = 0.10
-    cost_threshold: float = 0.10
-    success_threshold: float = 0.05
-    stat: bool = False
-    confidence: float = 0.95
-
-    @property
-    def ok(self) -> bool:
-        """True when no group regressed and at least one was compared."""
-        return not self.regressions and bool(self.deltas)
-
-    def render(self) -> str:
-        """Human-readable table for the CLI."""
-        lines = [
-            f"{'group':<40s} {'makespan':>10s} {'Δ%':>8s} "
-            f"{'cost':>10s} {'Δ%':>8s} {'succ':>6s} {'Δpts':>6s}  verdict"
-        ]
-        for d in self.deltas:
-            verdict = "REGRESSED" if d in self.regressions else "ok"
-            if d.stat_tested:
-                verdict += f" (t={d.t_stat:+.2f} vs {d.t_crit:.2f})"
-            lines.append(
-                f"{d.group:<40s} {d.current_makespan:>10.2f} "
-                f"{100 * d.makespan_change:>+7.2f}% "
-                f"{d.current_cost:>10.4f} {100 * d.cost_change:>+7.2f}% "
-                f"{d.current_success:>6.2f} {100 * d.success_change:>+5.1f}  "
-                f"{verdict}"
+    ``bare`` also accepts the groups mapping itself. Raises ``ValueError``
+    when there are no groups or one lacks the ``required`` stats key.
+    """
+    payload = document.get(key, document if bare else None)
+    if not isinstance(payload, Mapping) or not payload:
+        raise ValueError(f"baseline document has no {key!r} groups")
+    for group, stats in payload.items():
+        if not isinstance(stats, Mapping) or required not in stats:
+            raise ValueError(
+                f"baseline group {group!r} lacks a {required!r} entry — "
+                f"not a {key}"
             )
-        for group in self.missing_groups:
-            lines.append(f"{group:<40s} {'—':>10s} {'—':>8s} "
-                         f"{'—':>10s} {'—':>8s} {'—':>6s} {'—':>6s}  "
-                         f"missing from ledger")
-        gate = (
-            f"makespan: Welch test at {100 * self.confidence:.0f}% "
-            f"one-sided confidence (fallback +"
-            f"{100 * self.makespan_threshold:.0f}%)"
-            if self.stat
-            else f"makespan +{100 * self.makespan_threshold:.0f}%"
-        )
-        lines.append(
-            f"{len(self.deltas)} group(s) compared, "
-            f"{len(self.regressions)} regression(s), "
-            f"{len(self.missing_groups)} missing "
-            f"({gate}, "
-            f"cost +{100 * self.cost_threshold:.0f}%, "
-            f"success -{100 * self.success_threshold:.0f}pts)"
-        )
-        return "\n".join(lines)
+    return {k: dict(v) for k, v in payload.items()}
 
 
 def extract_baseline(document: Mapping[str, Any]) -> Dict[str, Dict[str, float]]:
@@ -963,27 +936,222 @@ def extract_baseline(document: Mapping[str, Any]) -> Dict[str, Dict[str, float]]
     Accepts either a document with a ``"ledger_baseline"`` key or a bare
     group → stats mapping. Raises ``ValueError`` when neither shape fits.
     """
-    payload = document.get("ledger_baseline", document)
-    if not isinstance(payload, Mapping) or not payload:
-        raise ValueError("baseline document has no 'ledger_baseline' groups")
-    for key, stats in payload.items():
-        if not isinstance(stats, Mapping) or "makespan" not in stats:
-            raise ValueError(
-                f"baseline group {key!r} lacks a 'makespan' entry — "
-                "not a ledger baseline"
-            )
-    return {k: dict(v) for k, v in payload.items()}
+    return _extract(document, "ledger_baseline", "makespan", bare=True)
 
 
-def _sample_triple(
-    stats: Mapping[str, float]
-) -> Optional[Tuple[float, float, int]]:
-    """``(mean, std, n)`` from a group-stats mapping, if it carries them."""
-    n = int(stats.get("n_samples", 0) or 0)
-    if n < 2 or "makespan_std" not in stats:
-        return None
-    mean = float(stats.get("makespan_sample_mean", stats.get("makespan", 0.0)))
-    return mean, float(stats["makespan_std"]), n
+def extract_load_baseline(
+    document: Mapping[str, Any]
+) -> Dict[str, Dict[str, float]]:
+    """The ``"load_baseline"`` groups inside a ``BENCH_*.json`` document.
+
+    Raises ``ValueError`` when the document has none (callers treat that
+    as "no load gate configured", not an error).
+    """
+    return _extract(document, "load_baseline", "achieved_rps", bare=False)
+
+
+@dataclass(frozen=True)
+class _Check:
+    """One row of a gate table: when a group's change in ``key`` regresses."""
+
+    key: str
+    #: ``+1`` when growth is worse (makespan, cost, p99), ``-1`` when a
+    #: drop is (success rate, throughput).
+    worse: int
+    #: Fractional change against the baseline, else absolute points.
+    relative: bool
+    threshold: float
+    #: Value read when a group's stats lack ``key``.
+    default: float
+
+    def regressed(self, change: float) -> bool:
+        """Whether ``change`` is worse than the threshold allows."""
+        return self.worse * change > self.threshold
+
+    def describe(self) -> str:
+        """The check as the report's summary line states it."""
+        sign = "+" if self.worse > 0 else "-"
+        unit = "%" if self.relative else "pts"
+        return f"{self.key} {sign}{100 * self.threshold:.0f}{unit}"
+
+    def cell(self, delta: "GroupDelta") -> str:
+        """The report's value and change columns for ``delta``."""
+        change = 100 * delta.change(self.key)
+        shown = f"{change:+.2f}%" if self.relative else f"{change:+.1f}pts"
+        return f" {delta.current[self.key]:>12.4f} {shown:>9s}"
+
+
+@dataclass(frozen=True)
+class _Gate:
+    """A baseline kind's gate table.
+
+    ``checks[0]`` names the stats key a group must carry to be compared.
+    With ``stat=True`` a one-sided Welch test runs on the sample stats
+    (``n_samples``, the first present ``welch_mean`` key, ``welch_std``).
+    A conclusive test replaces the ``welch_replaces`` check, or adds a
+    check on top of all of them when that is ``None``.
+    """
+
+    noun: str
+    checks: Tuple[_Check, ...]
+    welch_mean: Tuple[str, ...]
+    welch_std: str
+    welch_replaces: Optional[str]
+
+    def sample_triple(
+        self, stats: Mapping[str, float]
+    ) -> Optional[Tuple[float, float, int]]:
+        """``(mean, std, n)`` for the Welch test, if ``stats`` carry them."""
+        n = int(stats.get("n_samples", 0) or 0)
+        if n < 2 or self.welch_std not in stats:
+            return None
+        mean = next((stats[k] for k in self.welch_mean if k in stats), 0.0)
+        return float(mean), float(stats[self.welch_std]), n
+
+
+@dataclass(frozen=True)
+class GroupDelta:
+    """One baseline group re-measured against the current ledger.
+
+    ``baseline`` and ``current`` hold the values of the gate's checked
+    stats keys; ``absolute`` names the keys whose change is measured in
+    absolute points rather than as a fraction.
+    """
+
+    group: str
+    baseline: Dict[str, float]
+    current: Dict[str, float]
+    n_runs: int
+    absolute: FrozenSet[str] = frozenset()
+    #: Welch-test annotations; ``stat_tested`` stays False when either
+    #: side lacked usable sample stats and the fixed threshold judged.
+    stat_tested: bool = False
+    t_stat: float = 0.0
+    t_crit: float = 0.0
+
+    def change(self, key: str) -> float:
+        """Change of ``key`` from baseline to current.
+
+        Absolute keys give the difference (-0.1 = 10 points fewer
+        successes); the others the fractional change (+0.2 = 20% more),
+        0 when the baseline is not positive.
+        """
+        base, cur = self.baseline[key], self.current[key]
+        if key in self.absolute:
+            return cur - base
+        if base <= 0.0:
+            return 0.0
+        return cur / base - 1.0
+
+
+@dataclass
+class RegressionReport:
+    """Outcome of :func:`compare_to_baseline` or
+    :func:`compare_load_to_baseline` (drives the CI exit code)."""
+
+    gate: _Gate
+    stat: bool = False
+    confidence: float = 0.95
+    deltas: List[GroupDelta] = field(default_factory=list)
+    regressions: List[GroupDelta] = field(default_factory=list)
+    missing_groups: List[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        """True when no group regressed and at least one was compared."""
+        return not self.regressions and bool(self.deltas)
+
+    def render(self) -> str:
+        """Human-readable table for the CLI, two columns per check."""
+        checks = self.gate.checks
+        lines = [
+            f"{self.gate.noun:<40s}"
+            + "".join(f" {c.key:>12s} {'Δ':>9s}" for c in checks)
+            + "  verdict"
+        ]
+        for d in self.deltas:
+            verdict = "REGRESSED" if d in self.regressions else "ok"
+            if d.stat_tested:
+                verdict += f" (t={d.t_stat:+.2f} vs {d.t_crit:.2f})"
+            cells = "".join(c.cell(d) for c in checks)
+            lines.append(f"{d.group:<40s}{cells}  {verdict}")
+        blank = f" {'—':>12s} {'—':>9s}" * len(checks)
+        for group in self.missing_groups:
+            lines.append(f"{group:<40s}{blank}  missing from ledger")
+        gates = [c.describe() for c in checks]
+        if self.stat:
+            welch = (f"Welch test on {self.gate.welch_mean[0]} at "
+                     f"{100 * self.confidence:.0f}% one-sided confidence")
+            if self.gate.welch_replaces is None:
+                gates.append(welch)
+            else:
+                i = [c.key for c in checks].index(self.gate.welch_replaces)
+                gates[i] = f"{welch} (fallback {gates[i]})"
+        lines.append(
+            f"{len(self.deltas)} {self.gate.noun}(s) compared, "
+            f"{len(self.regressions)} regression(s), "
+            f"{len(self.missing_groups)} missing ({', '.join(gates)})"
+        )
+        return "\n".join(lines)
+
+
+def _compare(
+    baseline: Mapping[str, Mapping[str, float]],
+    gate: _Gate,
+    stats_at_depth: Callable[[int], Mapping[str, Mapping[str, float]]],
+    *,
+    stat: bool,
+    confidence: float,
+) -> RegressionReport:
+    """Judge every ``baseline`` group under ``gate``.
+
+    ``stats_at_depth(n)`` folds each group's newest ``n`` ledger rows
+    (0 = all) into current stats; each group is re-measured at the depth
+    its baseline averaged (``n_runs``). Groups absent from the ledger are
+    reported as missing, not failed.
+    """
+    if not 0.5 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0.5, 1), got {confidence}")
+    report = RegressionReport(gate, stat=stat, confidence=confidence)
+    absolute = frozenset(c.key for c in gate.checks if not c.relative)
+    stats_by_depth: Dict[int, Mapping[str, Mapping[str, float]]] = {}
+    for group, base in sorted(baseline.items()):
+        n_runs = int(base.get("n_runs", 0))
+        if n_runs not in stats_by_depth:
+            stats_by_depth[n_runs] = stats_at_depth(n_runs)
+        current = stats_by_depth[n_runs].get(group)
+        if current is None or gate.checks[0].key not in current:
+            report.missing_groups.append(group)
+            continue
+        significant, t_stat, t_crit = False, 0.0, math.inf
+        if stat:
+            base_triple = gate.sample_triple(base)
+            cur_triple = gate.sample_triple(current)
+            if base_triple is not None and cur_triple is not None:
+                significant, t_stat, t_crit = welch_slowdown(
+                    base_triple, cur_triple, confidence=confidence
+                )
+        tested = math.isfinite(t_crit)
+        delta = GroupDelta(
+            group=group,
+            baseline={c.key: float(base.get(c.key, c.default))
+                      for c in gate.checks},
+            current={c.key: float(current.get(c.key, c.default))
+                     for c in gate.checks},
+            n_runs=int(current.get("n_runs", 0)),
+            absolute=absolute,
+            stat_tested=tested,
+            t_stat=t_stat,
+            t_crit=t_crit if tested else 0.0,
+        )
+        report.deltas.append(delta)
+        if significant or any(
+            c.regressed(delta.change(c.key))
+            for c in gate.checks
+            if not (tested and c.key == gate.welch_replaces)
+        ):
+            report.regressions.append(delta)
+    return report
 
 
 def compare_to_baseline(
@@ -1016,222 +1184,21 @@ def compare_to_baseline(
     without sample stats on either side keep the fixed threshold. The
     cost and success gates are unchanged either way.
     """
-    if not 0.5 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0.5, 1), got {confidence}")
-    report = RegressionReport(
-        makespan_threshold=makespan_threshold,
-        cost_threshold=cost_threshold,
-        success_threshold=success_threshold,
-        stat=stat,
-        confidence=confidence,
+    gate = _Gate(
+        noun="group",
+        checks=(  # key, worse, relative, threshold, default
+            _Check("makespan", +1, True, makespan_threshold, 0.0),
+            _Check("cost", +1, True, cost_threshold, 0.0),
+            _Check("success_rate", -1, False, success_threshold, 1.0),
+        ),
+        welch_mean=("makespan_sample_mean", "makespan"),
+        welch_std="makespan_std",
+        welch_replaces="makespan",
     )
-    stats_by_depth: Dict[int, Dict[str, Dict[str, float]]] = {}
-    for group, base in sorted(baseline.items()):
-        n_runs = int(base.get("n_runs", 0)) or 0
-        if n_runs not in stats_by_depth:
-            stats_by_depth[n_runs] = ledger.group_stats(
-                latest_per_group=n_runs
-            )
-        current = stats_by_depth[n_runs].get(group)
-        if current is None or "makespan" not in current:
-            report.missing_groups.append(group)
-            continue
-        stat_tested = False
-        t_stat = t_crit = 0.0
-        makespan_regressed: Optional[bool] = None
-        if stat:
-            base_triple = _sample_triple(base)
-            cur_triple = _sample_triple(current)
-            if base_triple is not None and cur_triple is not None:
-                significant, t_stat, t_crit = welch_slowdown(
-                    base_triple, cur_triple, confidence=confidence
-                )
-                if math.isfinite(t_crit):
-                    stat_tested = True
-                    makespan_regressed = significant
-        delta = GroupDelta(
-            group=group,
-            baseline_makespan=float(base["makespan"]),
-            current_makespan=float(current["makespan"]),
-            baseline_cost=float(base.get("cost", 0.0)),
-            current_cost=float(current.get("cost", 0.0)),
-            n_runs=int(current.get("n_runs", 0)),
-            baseline_success=float(base.get("success_rate", 1.0)),
-            current_success=float(current.get("success_rate", 1.0)),
-            stat_tested=stat_tested,
-            t_stat=t_stat,
-            t_crit=t_crit if stat_tested else 0.0,
-        )
-        if makespan_regressed is None:
-            makespan_regressed = delta.makespan_change > makespan_threshold
-        report.deltas.append(delta)
-        if (
-            makespan_regressed
-            or delta.cost_change > cost_threshold
-            or -delta.success_change > success_threshold
-        ):
-            report.regressions.append(delta)
-    return report
-
-
-# ----------------------------------------------------------------------
-# load-run regression gate
-# ----------------------------------------------------------------------
-def _pool_load_rows(rows: Sequence[LoadRunRow]) -> Dict[str, float]:
-    """Fold one group's load rows into baseline stats.
-
-    Rates and percentiles are plain means over the rows; latency sample
-    stats pool exactly via :func:`_pool_sample_stats` (each row carries
-    the exact mean/std over its completed requests).
-    """
-    stats: Dict[str, float] = {
-        "n_runs": float(len(rows)),
-        "offered_rps": _mean([r.offered_rps for r in rows]),
-        "achieved_rps": _mean([r.achieved_rps for r in rows]),
-        "p50_s": _mean([r.p50_s for r in rows]),
-        "p95_s": _mean([r.p95_s for r in rows]),
-        "p99_s": _mean([r.p99_s for r in rows]),
-        "cost_total": _mean([r.cost_total for r in rows]),
-    }
-    pooled = _pool_sample_stats(
-        {"mean": r.latency_mean_s, "std": r.latency_std_s,
-         "n": r.n_ok + r.n_cached}
-        for r in rows
+    return _compare(
+        baseline, gate, lambda n: ledger.group_stats(latest_per_group=n),
+        stat=stat, confidence=confidence,
     )
-    if pooled is not None:
-        stats["latency_mean_s"] = pooled[0]
-        stats["latency_std_s"] = pooled[1]
-        stats["n_samples"] = float(pooled[2])
-    return stats
-
-
-def load_baseline_from_ledger(
-    ledger: RunLedger, *, latest_per_group: int = 0
-) -> Dict[str, Dict[str, float]]:
-    """Fold archived load runs into a ``"load_baseline"`` payload.
-
-    Groups by each row's label (or config fingerprint when unlabeled);
-    ``latest_per_group`` keeps only each group's newest N rows.
-    """
-    grouped: Dict[str, List[LoadRunRow]] = {}
-    for row in ledger.load_runs(limit=0):  # newest-first
-        bucket = grouped.setdefault(row.group_key(), [])
-        if latest_per_group <= 0 or len(bucket) < latest_per_group:
-            bucket.append(row)
-    return {
-        key: _pool_load_rows(bucket)
-        for key, bucket in sorted(grouped.items())
-    }
-
-
-def extract_load_baseline(
-    document: Mapping[str, Any]
-) -> Dict[str, Dict[str, float]]:
-    """The ``"load_baseline"`` groups inside a ``BENCH_*.json`` document.
-
-    Raises ``ValueError`` when the document has none (callers treat that
-    as "no load gate configured", not an error).
-    """
-    payload = document.get("load_baseline")
-    if not isinstance(payload, Mapping) or not payload:
-        raise ValueError("baseline document has no 'load_baseline' groups")
-    for key, stats in payload.items():
-        if not isinstance(stats, Mapping) or "achieved_rps" not in stats:
-            raise ValueError(
-                f"load baseline group {key!r} lacks an 'achieved_rps' "
-                "entry — not a load baseline"
-            )
-    return {k: dict(v) for k, v in payload.items()}
-
-
-@dataclass(frozen=True)
-class LoadDelta:
-    """One load-baseline group re-measured against the current ledger."""
-
-    group: str
-    baseline_rps: float
-    current_rps: float
-    baseline_p99_s: float
-    current_p99_s: float
-    n_runs: int
-    stat_tested: bool = False
-    t_stat: float = 0.0
-    t_crit: float = 0.0
-
-    @property
-    def rps_change(self) -> float:
-        """Fractional throughput change (-0.2 = 20% slower)."""
-        if self.baseline_rps <= 0.0:
-            return 0.0
-        return self.current_rps / self.baseline_rps - 1.0
-
-    @property
-    def p99_change(self) -> float:
-        """Fractional p99 change (+0.2 = 20% longer tail)."""
-        if self.baseline_p99_s <= 0.0:
-            return 0.0
-        return self.current_p99_s / self.baseline_p99_s - 1.0
-
-
-@dataclass
-class LoadRegressionReport:
-    """Outcome of :func:`compare_load_to_baseline`."""
-
-    deltas: List[LoadDelta] = field(default_factory=list)
-    regressions: List[LoadDelta] = field(default_factory=list)
-    missing_groups: List[str] = field(default_factory=list)
-    rps_threshold: float = 0.15
-    p99_threshold: float = 0.25
-    stat: bool = False
-    confidence: float = 0.95
-
-    @property
-    def ok(self) -> bool:
-        """True when no group regressed and at least one was compared."""
-        return not self.regressions and bool(self.deltas)
-
-    def render(self) -> str:
-        """Human-readable table for the CLI."""
-        lines = [
-            f"{'load group':<32s} {'rps':>9s} {'Δ%':>8s} "
-            f"{'p99(s)':>9s} {'Δ%':>8s}  verdict"
-        ]
-        for d in self.deltas:
-            verdict = "REGRESSED" if d in self.regressions else "ok"
-            if d.stat_tested:
-                verdict += f" (t={d.t_stat:+.2f} vs {d.t_crit:.2f})"
-            lines.append(
-                f"{d.group:<32.32s} {d.current_rps:>9.1f} "
-                f"{100 * d.rps_change:>+7.2f}% "
-                f"{d.current_p99_s:>9.4f} {100 * d.p99_change:>+7.2f}%  "
-                f"{verdict}"
-            )
-        for group in self.missing_groups:
-            lines.append(f"{group:<32.32s} {'—':>9s} {'—':>8s} "
-                         f"{'—':>9s} {'—':>8s}  missing from ledger")
-        tail_gate = (
-            f"latency: Welch test at {100 * self.confidence:.0f}% "
-            f"one-sided confidence (p99 cap +{100 * self.p99_threshold:.0f}%)"
-            if self.stat
-            else f"p99 +{100 * self.p99_threshold:.0f}%"
-        )
-        lines.append(
-            f"{len(self.deltas)} load group(s) compared, "
-            f"{len(self.regressions)} regression(s), "
-            f"{len(self.missing_groups)} missing "
-            f"(throughput -{100 * self.rps_threshold:.0f}%, {tail_gate})"
-        )
-        return "\n".join(lines)
-
-
-def _load_sample_triple(
-    stats: Mapping[str, float]
-) -> Optional[Tuple[float, float, int]]:
-    n = int(stats.get("n_samples", 0) or 0)
-    if n < 2 or "latency_std_s" not in stats:
-        return None
-    return (float(stats.get("latency_mean_s", 0.0)),
-            float(stats["latency_std_s"]), n)
 
 
 def compare_load_to_baseline(
@@ -1242,7 +1209,7 @@ def compare_load_to_baseline(
     p99_threshold: float = 0.25,
     stat: bool = False,
     confidence: float = 0.95,
-) -> LoadRegressionReport:
+) -> RegressionReport:
     """Re-measure archived load runs against ``baseline`` groups.
 
     A group regresses when its achieved throughput drops by more than
@@ -1252,55 +1219,18 @@ def compare_load_to_baseline(
     significant mean-latency slowdown regresses even under the p99 cap,
     and mirrors the ``ledger regress --stat`` makespan contract.
     """
-    if not 0.5 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0.5, 1), got {confidence}")
-    report = LoadRegressionReport(
-        rps_threshold=rps_threshold,
-        p99_threshold=p99_threshold,
-        stat=stat,
-        confidence=confidence,
+    gate = _Gate(
+        noun="load group",
+        checks=(  # key, worse, relative, threshold, default
+            _Check("achieved_rps", -1, True, rps_threshold, 0.0),
+            _Check("p99_s", +1, True, p99_threshold, 0.0),
+        ),
+        welch_mean=("latency_mean_s",),
+        welch_std="latency_std_s",
+        welch_replaces=None,
     )
-    grouped: Dict[str, List[LoadRunRow]] = {}
-    for row in ledger.load_runs(limit=0):
-        grouped.setdefault(row.group_key(), []).append(row)
-    for group, base in sorted(baseline.items()):
-        rows = grouped.get(group)
-        if not rows:
-            report.missing_groups.append(group)
-            continue
-        n_runs = int(base.get("n_runs", 0)) or 0
-        if n_runs > 0:
-            rows = rows[:n_runs]  # newest-first, match the baseline depth
-        current = _pool_load_rows(rows)
-        stat_tested = False
-        t_stat = t_crit = 0.0
-        latency_regressed = False
-        if stat:
-            base_triple = _load_sample_triple(base)
-            cur_triple = _load_sample_triple(current)
-            if base_triple is not None and cur_triple is not None:
-                significant, t_stat, t_crit = welch_slowdown(
-                    base_triple, cur_triple, confidence=confidence
-                )
-                if math.isfinite(t_crit):
-                    stat_tested = True
-                    latency_regressed = significant
-        delta = LoadDelta(
-            group=group,
-            baseline_rps=float(base.get("achieved_rps", 0.0)),
-            current_rps=float(current.get("achieved_rps", 0.0)),
-            baseline_p99_s=float(base.get("p99_s", 0.0)),
-            current_p99_s=float(current.get("p99_s", 0.0)),
-            n_runs=len(rows),
-            stat_tested=stat_tested,
-            t_stat=t_stat,
-            t_crit=t_crit if stat_tested else 0.0,
-        )
-        report.deltas.append(delta)
-        if (
-            -delta.rps_change > rps_threshold
-            or delta.p99_change > p99_threshold
-            or latency_regressed
-        ):
-            report.regressions.append(delta)
-    return report
+    return _compare(
+        baseline, gate,
+        lambda n: load_baseline_from_ledger(ledger, latest_per_group=n),
+        stat=stat, confidence=confidence,
+    )

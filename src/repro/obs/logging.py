@@ -83,6 +83,22 @@ class KeyValueFormatter(logging.Formatter):
         return out.getvalue()
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes to whatever ``sys.stderr`` is at emit time.
+
+    Like :data:`logging.lastResort`, it never holds on to a stream that
+    was replaced, and later closed, after configuration.
+    """
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self) -> TextIO:  # type: ignore[override]
+        """The current ``sys.stderr``."""
+        return sys.stderr
+
+
 def configure_logging(
     *,
     level: str = "info",
@@ -93,7 +109,8 @@ def configure_logging(
 
     Idempotent: existing repro handlers are replaced, so repeated calls
     (CLI invocations, tests) never stack duplicate handlers. Messages do
-    not propagate to the global root logger.
+    not propagate to the global root logger. Without a ``stream`` they go
+    to ``sys.stderr`` as it is when each line is written.
     """
     try:
         resolved = _LEVELS[level.lower()]
@@ -106,7 +123,10 @@ def configure_logging(
     logger.propagate = False
     for handler in list(logger.handlers):
         logger.removeHandler(handler)
-    handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
+    handler = (
+        logging.StreamHandler(stream) if stream is not None
+        else _StderrHandler()
+    )
     handler.setFormatter(JsonFormatter() if json_mode else KeyValueFormatter())
     logger.addHandler(handler)
     return logger

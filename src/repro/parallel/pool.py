@@ -213,15 +213,32 @@ class WorkerPool:
                 )
             return self._executor
 
-    def _respawn(self) -> ProcessPoolExecutor:
-        """Tear down a broken executor and start a fresh one."""
+    def _drop(self, executor: ProcessPoolExecutor) -> bool:
+        """Kill ``executor``'s workers and shut it down without waiting.
+
+        The next call starts a fresh executor lazily. Returns False, and
+        leaves everything alone, when another thread sharing the pool has
+        already replaced ``executor``. Items other threads still have in
+        flight on it fail as after a worker crash, and are retried so.
+        """
         with self._lock:
-            if self._executor is not None:
-                self._executor.shutdown(wait=False, cancel_futures=True)
-                self._executor = None
-            self.n_respawns += 1
-        if self._metrics is not None:
-            self._metrics.incr("worker_respawns")
+            if self._executor is not executor:
+                return False
+            self._executor = None
+        # Terminating is the only way to stop a running task; the
+        # executor has no public handle on its workers before 3.14.
+        for process in list((executor._processes or {}).values()):
+            process.terminate()
+        executor.shutdown(wait=False, cancel_futures=True)
+        return True
+
+    def _respawn(self, broken: ProcessPoolExecutor) -> ProcessPoolExecutor:
+        """Tear down a broken executor and start a fresh one."""
+        if self._drop(broken):
+            with self._lock:
+                self.n_respawns += 1
+            if self._metrics is not None:
+                self._metrics.incr("worker_respawns")
         return self._get_executor()
 
     def close(self) -> None:
@@ -296,7 +313,9 @@ class WorkerPool:
         requeued (up to :attr:`max_retries` extra attempts each) on a
         respawned executor. Exceptions raised by ``fn`` itself propagate
         unchanged — they are the item's answer, not an infrastructure
-        fault, so they are never retried.
+        fault, so they are never retried. When ``timeout`` expires the
+        pool's workers are terminated before :class:`TimeoutError` is
+        raised; the next call starts fresh ones.
         """
         results: List[Any] = [None] * len(items)
         pending: deque = deque(range(len(items)))
@@ -317,16 +336,25 @@ class WorkerPool:
         executor = self._get_executor()
         while pending or inflight:
             while pending and len(inflight) < self.max_inflight:
-                index = pending.popleft()
-                future = executor.submit(
-                    _invoke, fn, items[index], trace_ctx)
-                inflight[future] = index
+                try:
+                    future = executor.submit(
+                        _invoke, fn, items[pending[0]], trace_ctx)
+                except (BrokenProcessPool, RuntimeError):
+                    # Broken, or dropped by another thread sharing the
+                    # pool: items in flight fail as crashed below; with
+                    # none in flight, move to a fresh executor now.
+                    if inflight:
+                        break
+                    executor = self._respawn(executor)
+                    continue
+                inflight[future] = pending.popleft()
             remaining = None
             if deadline is not None:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    for future in inflight:
-                        future.cancel()
+                    # Free the worker stuck on the late item, so close()
+                    # need not wait for it.
+                    self._drop(executor)
                     raise TimeoutError(
                         f"WorkerPool.map timed out with {len(inflight)} "
                         f"in-flight and {len(pending)} queued items"
@@ -374,5 +402,5 @@ class WorkerPool:
                         f"exhausted {self.max_retries} retries",
                         shard_indices=tuple(sorted(exhausted)),
                     )
-                executor = self._respawn()
+                executor = self._respawn(executor)
         return results

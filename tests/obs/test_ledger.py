@@ -208,7 +208,7 @@ class TestRegressionGate:
                                          makespan_threshold=0.10)
         assert not report.ok
         assert len(report.regressions) == 1
-        assert report.regressions[0].makespan_change == pytest.approx(0.20)
+        assert report.regressions[0].change("makespan") == pytest.approx(0.20)
         assert "REGRESSED" in report.render()
 
     def test_cost_regression_flags_independently(self):
@@ -440,7 +440,7 @@ class TestSuccessGate:
             report = compare_to_baseline(ledger, baseline)
         assert not report.ok and len(report.regressions) == 1
         delta = report.regressions[0]
-        assert delta.success_change == pytest.approx(-0.5)
+        assert delta.change("success_rate") == pytest.approx(-0.5)
         assert "REGRESSED" in report.render()
 
     def test_success_rate_improvement_is_ok(self):

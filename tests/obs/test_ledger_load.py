@@ -196,3 +196,40 @@ class TestBaselineGate:
         assert report.ok
         delta = report.deltas[0]
         assert delta.stat_tested
+
+    @pytest.mark.parametrize("current, fixed_ok", [
+        # significant mean-latency slowdown, p99 under its cap: the Welch
+        # test adds a check on load rows, it does not replace the p99 cap
+        (dict(latency_mean_s=0.006, latency_std_s=0.001), True),
+        # p99 beyond the cap while Welch finds nothing
+        (dict(p99=0.050, latency_mean_s=0.005, latency_std_s=0.001), False),
+        # throughput drop with flat latency
+        (dict(achieved=100.0, latency_mean_s=0.005, latency_std_s=0.001),
+         False),
+    ], ids=["latency-slowdown", "p99-blowup", "throughput-drop"])
+    def test_stat_gate_flags(self, tmp_path, current, fixed_ok):
+        baseline = {"grp": {
+            "achieved_rps": 200.0, "p99_s": 0.010,
+            "latency_mean_s": 0.005, "latency_std_s": 0.001,
+            "n_samples": 100, "n_runs": 1,
+        }}
+        with RunLedger(str(tmp_path / "led.db")) as ledger:
+            ledger.record_load_run(make_row(**current))
+            fixed = compare_load_to_baseline(ledger, baseline)
+            report = compare_load_to_baseline(ledger, baseline, stat=True)
+        assert fixed.ok is fixed_ok
+        assert not report.ok
+        assert report.deltas[0].stat_tested
+
+    def test_baseline_depth_compares_newest_rows_only(self, tmp_path):
+        baseline = {"grp": {"achieved_rps": 200.0, "p99_s": 0.010,
+                            "n_runs": 1}}
+        with RunLedger(str(tmp_path / "led.db")) as ledger:
+            for achieved in (100.0, 100.0, 200.0):  # oldest first
+                ledger.record_load_run(make_row(achieved=achieved))
+            newest = compare_load_to_baseline(ledger, baseline)
+            every = compare_load_to_baseline(
+                ledger, {"grp": dict(baseline["grp"], n_runs=0)}
+            )
+        assert newest.ok and newest.deltas[0].n_runs == 1
+        assert not every.ok and every.deltas[0].n_runs == 3

@@ -3,6 +3,7 @@
 import io
 import json
 import logging
+import sys
 
 import pytest
 
@@ -71,6 +72,19 @@ class TestConfigure:
         assert len(logger.handlers) == 1
         get_logger("unit").info("once")
         assert buf.getvalue().count("once") == 1
+
+    def test_default_stream_follows_sys_stderr(self, monkeypatch):
+        # configured under a temporary stderr that is closed afterwards:
+        # lines must reach the restored stream, not the dead one
+        temporary, restored = io.StringIO(), io.StringIO()
+        monkeypatch.setattr(sys, "stderr", temporary)
+        configure_logging(level="info")
+        temporary.close()
+        monkeypatch.setattr(sys, "stderr", restored)
+        get_logger("unit").info("after restore")
+        out = restored.getvalue()
+        assert "after restore" in out
+        assert "Logging error" not in out
 
     def test_does_not_propagate_to_root(self):
         configure_logging(level="info", stream=io.StringIO())

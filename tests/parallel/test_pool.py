@@ -7,6 +7,7 @@ keeps results identical to the serial run.
 """
 
 import os
+import threading
 import time
 
 import pytest
@@ -85,6 +86,23 @@ class TestMap:
         with WorkerPool(1) as pool:
             with pytest.raises(TimeoutError, match="timed out"):
                 pool.map(slow, [30.0], timeout=0.2)
+            # the stuck worker was freed: the pool serves the next call
+            assert pool.map(square, [1, 2, 3]) == [1, 4, 9]
+
+    def test_timeout_in_one_thread_spares_another(self):
+        # Both threads share the pool's workers. The timeout terminates
+        # them under the other thread's in-flight items, which must be
+        # retried on one fresh executor, not lost or failed.
+        with WorkerPool(2, max_retries=3) as pool:
+            results = []
+            other = threading.Thread(target=lambda: results.append(
+                pool.map(slow, [0.05] * 12)))
+            other.start()
+            with pytest.raises(TimeoutError):
+                pool.map(slow, [30.0], timeout=0.3)
+            other.join(timeout=30)
+            assert not other.is_alive()
+            assert results == [[0.05] * 12]
 
     def test_worker_stats_and_heartbeat(self):
         with WorkerPool(2) as pool:
@@ -134,6 +152,8 @@ class TestCrashRecovery:
         with WorkerPool(1, max_retries=1) as pool:
             with pytest.raises(WorkerCrashError, match="exhausted") as info:
                 pool.map(always_crash, [0])
+            # the broken executor is replaced before the next submit
+            assert pool.map(square, [3]) == [9]
         assert info.value.shard_indices == (0,)
         # one initial attempt + one retry, each a crash
         assert pool.n_crashes == 2
