@@ -34,8 +34,8 @@ STAGES = (
     "estimate",   # tiered cost estimation
     "reserve",    # budget reserve + enqueue
     "queued",     # waiting in the priority queue until dispatch
-    "batched",    # spec-family batcher compute (batching services)
-    "execute",    # scheduling + Monte Carlo evaluation
+    "batched",    # plan + replays via the spec-family batcher (thread)
+    "execute",    # plan + replays in a pool worker (process / cluster)
     "cache",      # response-cache hit path (coalesced waits included)
     "reconcile",  # estimate-vs-actual budget settle
 )

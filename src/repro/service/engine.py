@@ -5,17 +5,26 @@ the CLI, and library users all share. It turns a declarative
 :class:`~repro.service.spec.ScheduleRequest` into a full
 :class:`~repro.service.spec.ScheduleResponse`:
 
-1. resolve the workflow, platform and budget from the specs;
-2. run the requested algorithm;
-3. optionally replay the schedule against ``n_reps`` sampled weight
-   realizations (the paper's validity/makespan statistics, per request);
-4. serve repeats straight from a content-addressed LRU cache.
+1. ``_plan``: resolve the workflow, platform and budget from the specs and
+   run the requested algorithm;
+2. ``_replicate``: replay the schedule against one sampled weight
+   realization, once per seed of the ``n_reps`` requested (the paper's
+   validity/makespan statistics, per request);
+3. ``_assemble``: fold the plan and the replications into the response.
 
-Heavy traffic is absorbed two ways: identical requests collapse into cache
-hits, and distinct requests fan out over a worker pool via ``submit`` /
-``submit_batch`` (scheduling releases the GIL poorly, but the evaluation
-replays are numpy-heavy, and multi-worker throughput also keeps the HTTP
-gateway responsive while long HEFTBUDG+ jobs run).
+These three steps are the one compute core, reached by two routes. The
+thread executor runs them through a
+:class:`~repro.admission.FamilyBatcher`, which shares plans and per-seed
+replications across requests of one spec family. The pool executors
+(``process``, ``cluster``) ship :func:`compute_response`, the same steps
+unbatched, to a worker.
+
+Heavy traffic is absorbed two ways: identical requests collapse into hits
+on a content-addressed LRU cache, and distinct requests fan out over a
+worker pool via ``submit`` / ``submit_batch`` (scheduling releases the
+GIL poorly, but the evaluation replays are numpy-heavy, and multi-worker
+throughput also keeps the HTTP gateway responsive while long HEFTBUDG+
+jobs run).
 """
 
 from __future__ import annotations
@@ -54,10 +63,11 @@ from .spec import ScheduleRequest, ScheduleResponse
 
 __all__ = ["JobState", "JobRecord", "SchedulingService", "compute_response"]
 
-#: Execution modes for the service's compute path. ``thread`` keeps the
-#: historical in-process behaviour; ``process`` routes each compute into a
-#: :class:`repro.parallel.WorkerPool` worker, taking CPU-bound
-#: HEFTBUDG+/HEFTBUDG+INV refinement off the GIL.
+#: Execution modes for the service's compute path. ``thread`` computes
+#: in-process through the spec-family batcher; ``process`` routes each
+#: compute into a :class:`repro.parallel.WorkerPool` worker, taking
+#: CPU-bound HEFTBUDG+/HEFTBUDG+INV refinement off the GIL; ``cluster``
+#: routes it to remote worker nodes. The pool modes compute unbatched.
 EXECUTORS = ("thread", "process", "cluster")
 
 RequestLike = Union[ScheduleRequest, Mapping[str, Any]]
@@ -123,11 +133,12 @@ class _Job:
 
 @dataclass
 class _FamilyBase:
-    """The spec-family-invariant bundle the batcher caches once.
+    """The spec-family-invariant bundle :func:`_plan` returns.
 
     Everything downstream of the scheduler call that does not depend on
     ``evaluation.seed`` / ``n_reps``: resolved workflow, platform, budget,
     the scheduling result, and the (family-invariant) datacenter capacity.
+    The batcher caches it once per family.
     """
 
     wf: Any
@@ -137,30 +148,12 @@ class _FamilyBase:
     cap: float
 
 
-def _noop_deadline() -> None:
-    return None
-
-
 def _noop_progress(stage: str, done: int, total: int) -> None:
     return None
 
 
-def compute_response(
-    request: ScheduleRequest,
-    *,
-    check_deadline=_noop_deadline,
-    publish_progress=_noop_progress,
-) -> ScheduleResponse:
-    """The pure compute path: resolve → schedule → evaluate → response.
-
-    Module-level (and using only its arguments) so it runs identically on
-    a service worker thread or inside a :class:`repro.parallel.WorkerPool`
-    process — the ``--executor process`` mode ships exactly this function.
-    ``check_deadline`` is called between evaluation replications (the
-    cooperative timeout hook); ``publish_progress`` receives coarse
-    ``(stage, done, total)`` updates.
-    """
-    started = time.perf_counter()
+def _plan(request: ScheduleRequest, publish_progress) -> _FamilyBase:
+    """Resolve the specs and run the scheduler (the spec-family half)."""
     wf = request.workflow.resolve()
     platform = request.platform.resolve()
     budget = request.budget.resolve(wf, platform)
@@ -173,72 +166,92 @@ def compute_response(
             f"{request.algorithm} failed on {wf.name or 'workflow'}: {exc}"
         ) from exc
     publish_progress("scheduled", 1, 1)
-    evaluation = _evaluate_schedule(
-        request, wf, platform, result.schedule, budget,
-        check_deadline=check_deadline, publish_progress=publish_progress,
+    spec = request.evaluation
+    cap = float("inf") if spec.dc_capacity is None else spec.dc_capacity
+    return _FamilyBase(
+        wf=wf, platform=platform, budget=budget, result=result, cap=cap
     )
+
+
+def _replicate(base: _FamilyBase, seed: int) -> Dict[str, Any]:
+    """One evaluation replication, a pure function of (family, seed).
+
+    The shard-plan contract — replication ``i`` samples weights from
+    ``evaluation.seed + i`` alone — is what lets requests with
+    overlapping seed ranges share these records bit-for-bit. Calls the
+    module globals ``execute_schedule`` / ``sample_weights`` at call
+    time, so instrumentation that rebinds them sees every replay.
+    """
+    run = execute_schedule(
+        base.wf, base.platform, base.result.schedule,
+        sample_weights(base.wf, rng=seed),
+        dc_capacity=base.cap, validate=False,
+    )
+    return {
+        "seed": seed,
+        "makespan": run.makespan,
+        "cost": run.total_cost,
+        "within_budget": run.respects_budget(base.budget),
+    }
+
+
+def _assemble(
+    base: _FamilyBase,
+    reps: List[Dict[str, Any]],
+    request: ScheduleRequest,
+) -> ScheduleResponse:
+    """Fold a plan and this request's replications into its response.
+
+    ``elapsed_s`` is left at 0 for the caller to stamp; replication
+    dicts are copied so callers mutating a response cannot corrupt the
+    batcher's shared cache.
+    """
+    spec = request.evaluation
+    evaluation: Optional[Dict[str, Any]] = None
+    if spec.n_reps > 0:
+        n_valid = sum(1 for rep in reps if rep["within_budget"])
+        evaluation = {
+            "n_reps": spec.n_reps,
+            "budget_success_rate": n_valid / spec.n_reps,
+            "makespan": _summary([rep["makespan"] for rep in reps]),
+            "cost": _summary([rep["cost"] for rep in reps]),
+            "reps": [dict(rep) for rep in reps],
+        }
+    result = base.result
     return ScheduleResponse(
         request_fingerprint=request.fingerprint(),
         algorithm=result.algorithm,
-        budget=budget,
+        budget=base.budget,
         planned_makespan=result.planned_makespan,
         planned_cost=result.planned_vm_cost,
         within_budget_plan=result.within_budget_plan,
         n_vms=result.schedule.n_vms,
-        n_tasks=wf.n_tasks,
-        workflow_name=wf.name,
+        n_tasks=base.wf.n_tasks,
+        workflow_name=base.wf.name,
         schedule=schedule_to_dict(result.schedule),
         evaluation=evaluation,
         cached=False,
-        elapsed_s=time.perf_counter() - started,
+        elapsed_s=0.0,
     )
 
 
-def _evaluate_schedule(
-    request, wf, platform, schedule, budget,
-    *,
-    check_deadline=_noop_deadline,
-    publish_progress=_noop_progress,
-) -> Optional[Dict[str, Any]]:
-    """Replay a schedule against ``n_reps`` sampled weight realizations."""
-    spec = request.evaluation
-    if spec.n_reps <= 0:
-        return None
-    cap = float("inf") if spec.dc_capacity is None else spec.dc_capacity
-    makespans: List[float] = []
-    costs: List[float] = []
-    n_valid = 0
-    reps: List[Dict[str, Any]] = []
-    # Progress granularity: ~4 updates per evaluation, never per-rep.
-    stride = max(1, spec.n_reps // 4)
-    for i in range(spec.n_reps):
-        check_deadline()
-        run = execute_schedule(
-            wf, platform, schedule,
-            sample_weights(wf, rng=spec.seed + i),
-            dc_capacity=cap, validate=False,
-        )
-        valid = run.respects_budget(budget)
-        n_valid += valid
-        makespans.append(run.makespan)
-        costs.append(run.total_cost)
-        reps.append(
-            {
-                "seed": spec.seed + i,
-                "makespan": run.makespan,
-                "cost": run.total_cost,
-                "within_budget": valid,
-            }
-        )
-        if (i + 1) % stride == 0 or i + 1 == spec.n_reps:
-            publish_progress("evaluating", i + 1, spec.n_reps)
-    return {
-        "n_reps": spec.n_reps,
-        "budget_success_rate": n_valid / spec.n_reps,
-        "makespan": _summary(makespans),
-        "cost": _summary(costs),
-        "reps": reps,
-    }
+def compute_response(request: ScheduleRequest) -> ScheduleResponse:
+    """The pure compute path: plan → replicate → assemble.
+
+    Module-level (and using only its argument) so it runs identically on
+    a service worker thread or inside a :class:`repro.parallel.WorkerPool`
+    process — the pool executors ship exactly this function. The thread
+    executor runs the same three steps through the spec-family batcher.
+    """
+    started = time.perf_counter()
+    base = _plan(request, _noop_progress)
+    seed = request.evaluation.seed
+    reps = [_replicate(base, seed + i)
+            for i in range(request.evaluation.n_reps)]
+    return replace(
+        _assemble(base, reps, request),
+        elapsed_s=time.perf_counter() - started,
+    )
 
 
 def _warmup(index: int) -> int:
@@ -318,12 +331,6 @@ class SchedulingService:
     admission_aging_s:
         Seconds of queue wait per one-class starvation promotion in the
         admission queue (see :mod:`repro.admission.queue`).
-    batching:
-        Spec-family batching: requests identical modulo seed /
-        ``n_samples`` share one schedule computation and a per-seed
-        replication cache (bit-identical results, see
-        :mod:`repro.admission.batcher`). Defaults to on for the thread
-        executor, off for the process executor.
     """
 
     def __init__(
@@ -343,7 +350,6 @@ class SchedulingService:
         nodes: Optional[Any] = None,
         tenants: Optional[Any] = None,
         admission_aging_s: float = 30.0,
-        batching: Optional[bool] = None,
         slo_targets: Optional[Sequence[SLOTarget]] = None,
     ) -> None:
         if max_workers < 1:
@@ -438,17 +444,11 @@ class SchedulingService:
             metrics=self.metrics,
             events=self.events,
         )
-        # Family batching needs the compute in-process, so the process
-        # executor always runs unbatched.
-        self.batching = executor == "thread" and (
-            True if batching is None else bool(batching)
-        )
+        # The thread route: spec-family batching over the compute core.
+        # The pool executors compute unbatched in the worker.
         self._batcher = (
-            FamilyBatcher(
-                self._family_base, self._family_rep, self._family_assemble
-            )
-            if self.batching
-            else None
+            FamilyBatcher(self._family_base, self._family_rep, _assemble)
+            if executor == "thread" else None
         )
 
     # ------------------------------------------------------------------
@@ -916,14 +916,12 @@ class SchedulingService:
         # so the configured size is the live count.
         worker_count = self.max_workers
         if self._proc_pool is not None:
-            worker_stats = self._proc_pool.worker_stats()
-            if self.executor == "cluster":
-                # A lost node keeps its (dead) entry for observability;
-                # only nodes still believed alive count toward readiness.
-                worker_stats = {
-                    addr: s for addr, s in worker_stats.items()
-                    if s.get("alive", True)
-                }
+            # A lost node keeps its (dead) entry for observability; only
+            # workers still believed alive count toward readiness.
+            worker_stats = {
+                key: s for key, s in self._proc_pool.worker_stats().items()
+                if s.get("alive", True)
+            }
             worker_count = len(worker_stats)
             workers_alive = bool(worker_stats)
             if worker_stats:
@@ -1136,31 +1134,26 @@ class SchedulingService:
         with self.metrics.timer("schedule_latency_s"), tracer.span(
             "service.compute", **attrs
         ):
-            if self._proc_pool is not None:
-                response = self._compute_in_process(request)
-                stage = "execute"
-            elif self._batcher is not None:
+            if self._batcher is not None:
                 if self._batcher.served_batched(request):
                     self.metrics.incr("admission_batched")
                 response = self._batcher.compute(request)
                 stage = "batched"
             else:
-                response = compute_response(
-                    request,
-                    check_deadline=self._check_job_deadline,
-                    publish_progress=self._publish_progress,
-                )
+                response = self._compute_in_pool(request)
                 stage = "execute"
         stages = getattr(self._job_context, "stages", None)
         if stages is not None:
             stages.mark(stage)
         evaluation = response.evaluation
         if evaluation:
-            self.metrics.incr("evaluation_reps", evaluation["n_reps"])
+            n_reps = evaluation["n_reps"]
+            self._publish_progress("evaluating", n_reps, n_reps)
+            self.metrics.incr("evaluation_reps", n_reps)
         return replace(response, elapsed_s=time.perf_counter() - started)
 
-    def _compute_in_process(self, request: ScheduleRequest) -> ScheduleResponse:
-        """Route one compute into the process pool, supervised from here.
+    def _compute_in_pool(self, request: ScheduleRequest) -> ScheduleResponse:
+        """Route one compute into the worker pool, supervised from here.
 
         The child cannot check the cooperative deadline, so the parent
         bounds the worker call with the job's remaining budget and maps a
@@ -1181,106 +1174,21 @@ class SchedulingService:
         except TimeoutError:
             raise JobTimeoutError(
                 f"job exceeded its {self.job_timeout}s timeout "
-                f"(process executor)"
+                f"({self.executor} executor)"
             ) from None
-        evaluation = response.evaluation or {}
-        n_reps = int(evaluation.get("n_reps", 0))
-        if n_reps:
-            self._publish_progress("evaluating", n_reps, n_reps)
         return response
 
     # ------------------------------------------------------------------
     # spec-family batching callables (see repro.admission.batcher)
     # ------------------------------------------------------------------
-    def _family_base(self, request: ScheduleRequest) -> "_FamilyBase":
-        """Resolve + schedule once for a whole spec family.
+    def _family_base(self, request: ScheduleRequest) -> _FamilyBase:
+        """:func:`_plan` with this job's progress hook."""
+        return _plan(request, self._publish_progress)
 
-        Mirrors the first half of :func:`compute_response` exactly: same
-        resolution, same scheduler call, same error wrapping — so a
-        batched response is bit-identical to an unbatched one.
-        """
-        wf = request.workflow.resolve()
-        platform = request.platform.resolve()
-        budget = request.budget.resolve(wf, platform)
-        try:
-            result = make_scheduler(request.algorithm).schedule(
-                wf, platform, budget
-            )
-        except ReproError as exc:
-            raise ServiceError(
-                f"{request.algorithm} failed on "
-                f"{wf.name or 'workflow'}: {exc}"
-            ) from exc
-        self._publish_progress("scheduled", 1, 1)
-        spec = request.evaluation
-        cap = float("inf") if spec.dc_capacity is None else spec.dc_capacity
-        return _FamilyBase(
-            wf=wf, platform=platform, budget=budget, result=result, cap=cap
-        )
-
-    def _family_rep(self, base: "_FamilyBase", seed: int) -> Dict[str, Any]:
-        """One evaluation replication, a pure function of (family, seed).
-
-        The PR 5 shard-plan contract — replication ``i`` samples weights
-        from ``evaluation.seed + i`` alone — is what lets requests with
-        overlapping seed ranges share these records bit-for-bit.
-        """
+    def _family_rep(self, base: _FamilyBase, seed: int) -> Dict[str, Any]:
+        """:func:`_replicate` behind the cooperative job deadline."""
         self._check_job_deadline()
-        run = execute_schedule(
-            base.wf, base.platform, base.result.schedule,
-            sample_weights(base.wf, rng=seed),
-            dc_capacity=base.cap, validate=False,
-        )
-        valid = run.respects_budget(base.budget)
-        return {
-            "seed": seed,
-            "makespan": run.makespan,
-            "cost": run.total_cost,
-            "within_budget": valid,
-        }
-
-    def _family_assemble(
-        self,
-        base: "_FamilyBase",
-        reps: List[Dict[str, Any]],
-        request: ScheduleRequest,
-    ) -> ScheduleResponse:
-        """Fold shared family parts into this request's response.
-
-        Reconstructs exactly what :func:`compute_response` builds
-        (``elapsed_s`` excepted — the caller stamps wall time over it
-        either way); replication dicts are copied so callers mutating a
-        response cannot corrupt the shared cache.
-        """
-        spec = request.evaluation
-        evaluation: Optional[Dict[str, Any]] = None
-        if spec.n_reps > 0:
-            makespans = [rep["makespan"] for rep in reps]
-            costs = [rep["cost"] for rep in reps]
-            n_valid = sum(1 for rep in reps if rep["within_budget"])
-            evaluation = {
-                "n_reps": spec.n_reps,
-                "budget_success_rate": n_valid / spec.n_reps,
-                "makespan": _summary(makespans),
-                "cost": _summary(costs),
-                "reps": [dict(rep) for rep in reps],
-            }
-            self._publish_progress("evaluating", spec.n_reps, spec.n_reps)
-        return ScheduleResponse(
-            request_fingerprint=request.fingerprint(),
-            algorithm=base.result.algorithm,
-            budget=base.budget,
-            planned_makespan=base.result.planned_makespan,
-            planned_cost=base.result.planned_vm_cost,
-            within_budget_plan=base.result.within_budget_plan,
-            n_vms=base.result.schedule.n_vms,
-            n_tasks=base.wf.n_tasks,
-            workflow_name=base.wf.name,
-            schedule=schedule_to_dict(base.result.schedule),
-            evaluation=evaluation,
-            cached=False,
-            elapsed_s=0.0,
-        )
+        return _replicate(base, seed)
 
     def _record_run(
         self,

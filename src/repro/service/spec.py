@@ -110,6 +110,10 @@ class WorkflowSpec:
                 f"generator mode needs n_tasks > 0, got {self.n_tasks}",
             )
         _require(
+            self.rng is None or self.rng >= 0,
+            f"workflow rng must be >= 0, got {self.rng}",
+        )
+        _require(
             math.isfinite(self.sigma_ratio) and self.sigma_ratio >= 0.0,
             f"sigma_ratio must be finite and >= 0, got {self.sigma_ratio}",
         )
@@ -308,6 +312,7 @@ class EvaluationSpec:
 
     def __post_init__(self) -> None:
         _require(self.n_reps >= 0, f"n_reps must be >= 0, got {self.n_reps}")
+        _require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         if self.dc_capacity is not None:
             _require(
                 self.dc_capacity > 0.0,

@@ -6,7 +6,8 @@ import pytest
 
 from repro.admission import FamilyBatcher
 from repro.service import SchedulingService
-from repro.service.spec import ScheduleRequest
+from repro.service.engine import compute_response
+from repro.service.spec import EvaluationSpec, ScheduleRequest
 
 
 def request(seed=100, n_reps=4, amount=2.0):
@@ -26,18 +27,25 @@ def normalized(response):
 
 
 class TestBitIdentity:
-    def test_batched_equals_unbatched(self):
-        with SchedulingService(max_workers=1, cache_size=0,
-                               batching=True) as batched, \
-             SchedulingService(max_workers=1, cache_size=0,
-                               batching=False) as plain:
-            for req in (request(seed=100), request(seed=102, n_reps=6)):
-                assert normalized(batched.schedule(req)) == \
-                    normalized(plain.schedule(req))
+    @pytest.mark.parametrize("req", [
+        request(seed=100),
+        request(seed=102, n_reps=6),
+        replace(request(seed=100), evaluation=EvaluationSpec(
+            n_reps=4, seed=100, dc_capacity=2e7)),
+        request(seed=100, n_reps=0),
+        replace(request(seed=100), algorithm="heft_budg_plus"),
+        replace(request(seed=100, amount=0.01), algorithm="minmin_budg"),
+    ], ids=["seed100", "seed102x6", "dc2e7", "no_reps", "heft_budg_plus",
+            "minmin_infeasible"])
+    def test_batched_equals_unbatched(self, req):
+        # compute_response is the unbatched oracle: plan, replicate and
+        # assemble in one call, as the pool executors run it.
+        with SchedulingService(max_workers=1, cache_size=0) as batched:
+            assert normalized(batched.schedule(req)) == \
+                normalized(compute_response(req))
 
     def test_overlapping_seed_ranges_share_reps(self):
-        with SchedulingService(max_workers=1, cache_size=0,
-                               batching=True) as svc:
+        with SchedulingService(max_workers=1, cache_size=0) as svc:
             a = svc.schedule(request(seed=100, n_reps=6))
             b = svc.schedule(request(seed=103, n_reps=6))  # overlaps 103..105
             stats = svc.stats()["batching"]
@@ -51,8 +59,7 @@ class TestBitIdentity:
                     assert rep == by_seed[rep["seed"]]
 
     def test_mutating_a_response_does_not_corrupt_the_cache(self):
-        with SchedulingService(max_workers=1, cache_size=0,
-                               batching=True) as svc:
+        with SchedulingService(max_workers=1, cache_size=0) as svc:
             first = svc.schedule(request(seed=100))
             first.evaluation["reps"][0]["makespan"] = -1.0
             again = svc.schedule(request(seed=100))

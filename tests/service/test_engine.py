@@ -166,6 +166,27 @@ class TestJobs:
                     svc.result(second)
             svc.wait_all(timeout=120)
 
+    @pytest.mark.parametrize("n_reps", [8, 0])
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_progress_stream(self, executor, n_reps):
+        # The exact job.progress sequence each executor route publishes.
+        with SchedulingService(max_workers=1, cache_size=0,
+                               executor=executor) as svc:
+            job_id = svc.submit(request_dict(n_tasks=15, n_reps=n_reps))
+            svc.result(job_id, timeout=60)
+            progress = [
+                (ev.data["stage"], ev.data["done"], ev.data["total"])
+                for ev in svc.events.history(
+                    types=["job.progress"],
+                    match=lambda ev: ev.data.get("job_id") == job_id,
+                )
+            ]
+        first = "scheduled" if executor == "thread" else "dispatched"
+        expected = [(first, 1, 1)]
+        if n_reps:
+            expected.append(("evaluating", n_reps, n_reps))
+        assert progress == expected
+
 
 class TestLifecycle:
     def test_stats_shape(self, service):

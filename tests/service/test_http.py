@@ -69,12 +69,16 @@ class TestScheduleEndpoint:
         assert body["schedule"]["format"] == "repro.schedule/1"
         assert body["evaluation"]["n_reps"] == 3
 
-    def test_validation_error_is_400(self, gateway):
+    @pytest.mark.parametrize("field, value, message", [
+        ("algorithm", "nope", "unknown algorithm"),
+        ("evaluation", {"n_reps": 2, "seed": -3}, "seed must be >= 0"),
+    ], ids=["bad_algorithm", "negative_seed"])
+    def test_validation_error_is_400(self, gateway, field, value, message):
         bad = request_dict()
-        bad["algorithm"] = "nope"
+        bad[field] = value
         status, body = call(gateway, "POST", "/v1/schedule", bad)
         assert status == 400
-        assert "unknown algorithm" in body["error"]
+        assert message in body["error"]
 
     def test_batch_on_sync_endpoint_rejected(self, gateway):
         status, body = call(gateway, "POST", "/v1/schedule",

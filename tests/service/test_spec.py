@@ -51,6 +51,11 @@ class TestWorkflowSpec:
         with pytest.raises(ServiceError, match="n_tasks"):
             WorkflowSpec(family="montage", n_tasks=0)
 
+    def test_rejects_negative_rng(self):
+        with pytest.raises(ServiceError, match="rng"):
+            WorkflowSpec(family="montage", n_tasks=20, rng=-1)
+        assert WorkflowSpec(family="montage", n_tasks=20, rng=0).rng == 0
+
     def test_bad_dax_reported_as_service_error(self):
         spec = WorkflowSpec(dax="this is not XML")
         with pytest.raises(ServiceError, match="failed to resolve"):
@@ -129,6 +134,11 @@ class TestEvaluationSpec:
             EvaluationSpec(n_reps=-1)
         with pytest.raises(ServiceError, match="dc_capacity"):
             EvaluationSpec(dc_capacity=0.0)
+        with pytest.raises(ServiceError, match="seed"):
+            EvaluationSpec(seed=-3)
+        with pytest.raises(ServiceError, match="seed"):
+            EvaluationSpec(n_reps=2, seed=-1)
+        assert EvaluationSpec(n_reps=2, seed=0).seed == 0
 
     def test_dict_roundtrip(self):
         spec = EvaluationSpec(n_reps=5, seed=9, dc_capacity=1e9)
