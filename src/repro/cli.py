@@ -620,9 +620,11 @@ def _run_schedule(args: argparse.Namespace) -> int:
 def _run_trace(args: argparse.Namespace) -> int:
     """The ``trace`` subcommand: one traced schedule+simulate, two files."""
     from .errors import ReproError
+    from .experiments.runner import replicate
     from .obs import Tracer, use_tracer
     from .obs.export import write_chrome_trace, write_decision_log
     from .platform.cloud import PAPER_PLATFORM
+    from .rng import as_generator, spawn_seeds
     from .scheduling.registry import make_scheduler
     from .service.spec import BudgetSpec
     from .simulation.executor import evaluate_schedule
@@ -637,7 +639,6 @@ def _run_trace(args: argparse.Namespace) -> int:
         )
         budget = budget_spec.resolve(wf, PAPER_PLATFORM)
         tracer = Tracer()
-        n_worker_spans = 0
         with use_tracer(tracer):
             with tracer.span("trace.session", workflow=args.workflow,
                              n_tasks=args.n, algorithm=args.algo,
@@ -647,10 +648,14 @@ def _run_trace(args: argparse.Namespace) -> int:
                 )
                 run = evaluate_schedule(wf, PAPER_PLATFORM, result.schedule)
                 if args.workers > 0 and args.reps > 0:
-                    n_worker_spans = _traced_replications(
-                        tracer, wf, result.schedule, budget,
-                        n_reps=args.reps, workers=args.workers,
-                    )
+                    with tracer.span("trace.replications",
+                                     n_reps=args.reps, workers=args.workers):
+                        replicate(
+                            wf, PAPER_PLATFORM, result.schedule, budget,
+                            args.reps,
+                            seeds=spawn_seeds(as_generator(0), args.reps),
+                            workers=args.workers,
+                        )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -681,48 +686,20 @@ def _run_trace(args: argparse.Namespace) -> int:
           f"(cost ${run.total_cost:.4f})")
     print(f"trace id        : {tracer.trace_id}")
     if args.workers > 0:
-        print(f"worker spans    : {n_worker_spans} merged from "
-              f"{args.workers} worker process(es) ({args.reps} reps)")
+        # Only spans a pool merged back carry a worker pid; too few reps to
+        # shard leave the replications in this process.
+        pids = [sp.attributes["worker_pid"] for sp in tracer.spans
+                if "worker_pid" in sp.attributes]
+        if pids:
+            print(f"worker spans    : {len(pids)} merged from "
+                  f"{len(set(pids))} worker process(es) ({args.reps} reps)")
+        else:
+            print(f"worker spans    : none; the {args.reps} reps ran "
+                  f"in-process")
     print(f"trace           : {args.out} "
           f"({len(doc['traceEvents'])} events; open in ui.perfetto.dev)")
     print(f"decision log    : {decisions_path} ({n_decisions} records)")
     return 0
-
-
-def _traced_replications(tracer, wf, schedule, budget, *, n_reps: int,
-                         workers: int) -> int:
-    """Run the Monte Carlo replications on a worker pool under the trace.
-
-    Shards exactly like :func:`repro.experiments.runner` does; each worker
-    runs a worker-local tracer carrying the parent's trace id, and
-    :meth:`repro.parallel.WorkerPool.map` merges the per-shard spans back
-    into ``tracer``. Returns how many spans the merge added.
-    """
-    from .parallel import ShardPlan, WorkerPool
-    from .platform.cloud import PAPER_PLATFORM
-    from .rng import as_generator, spawn_seeds
-    from .simulation.executor import run_replications
-
-    seeds = spawn_seeds(as_generator(0), n_reps)
-    plan = ShardPlan.plan(n_reps, workers)
-    shard_tasks = [{
-        "wf": wf,
-        "platform": PAPER_PLATFORM,
-        "schedule": schedule,
-        "budget": budget,
-        "seeds": list(shard.slice(seeds)),
-        "validate_first": shard.start == 0,
-    } for shard in plan.shards]
-    before = len(tracer.spans)
-    with tracer.span("trace.replications", n_reps=n_reps,
-                     n_shards=len(plan.shards), workers=workers):
-        if plan.is_serial:
-            for task in shard_tasks:
-                run_replications(task)
-        else:
-            with WorkerPool(workers) as pool:
-                pool.map(run_replications, shard_tasks)
-    return len(tracer.spans) - before - 1  # minus our own wrapper span
 
 
 def _render_slo_report(report: dict) -> str:

@@ -2,7 +2,11 @@
 
 Every fan-out entry point (``run_point``, ``run_sweep``,
 ``resilience_sweep``, ``spot_resilience_sweep``, the service executor,
-the CLI ``--workers`` flags) accepts the same knob:
+the CLI ``--workers`` flags) accepts the same knob. The experiment
+layer builds its pools in three places: the shard step
+:func:`~repro.experiments.runner.replicate` (behind ``run_point`` and
+``repro-exp trace``), ``run_sweep``'s point map, and the resilience
+sweeps' shared cell map. The service builds its own. The knob is:
 
 * an **integer** (or numeric string) — ``0``/``1`` serial, ``N`` a local
   :class:`~repro.parallel.WorkerPool` of ``N`` processes, negative all

@@ -21,19 +21,28 @@ contingency-reserve axis (:class:`~repro.scheduling.contingency.
 ContingencyScheduler`) maps the reserve-fraction × revocation-rate
 cost/makespan/success frontier.
 
+Both sweeps bind one private core, ``_sweep``: cells → one plan per
+(family, scheduler) → one task per cell → a single pool fan-out (or an
+inline loop) → one loop that builds each cell's :class:`ResiliencePoint`
+and ledger rows. A sweep only names what differs: its cell axes, its
+planning and execution platforms, the scheduler each cell plans with
+(``+res`` suffix for a reserve), the
+:class:`~repro.faults.spot.SpotScenario` of a spot cell, and the ledger
+``extra`` fields.
+
 Every run lands in the active ledger (``source="faults"``, algorithm
-labelled ``heft_budg+remap@0.1`` — spot cells
-``heft_budg+retry@spot0.5r0.2``) so ``repro-exp ledger regress
---success-threshold`` can gate resilience in CI exactly like makespan and
-cost.
+labelled by :attr:`ResiliencePoint.label`: ``heft_budg+remap@0.1`` —
+spot cells ``heft_budg+retry@spot0.5r0.2``) so ``repro-exp ledger
+regress --success-threshold`` can gate resilience in CI exactly like
+makespan and cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-from typing import Any
+from typing import (
+    Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from ..cluster import make_pool, parse_workers
 from ..experiments.budgets import high_budget, minimal_budget
@@ -124,25 +133,36 @@ class ResilienceStudy:
         )
 
 
+class _Cell(NamedTuple):
+    """One sweep cell: what it reports, what plans it, what breaks it."""
+
+    #: :class:`ResiliencePoint` axis fields (family, algorithm, policy and
+    #: the rate/reserve/spot axes of the sweep).
+    axes: Dict[str, Any]
+    #: Registry name the cell's schedule is planned with.
+    scheduler: str
+    #: Correlated spot revocations, or ``None`` for independent crashes at
+    #: ``axes["crash_rate"]``.
+    scenario: Optional[SpotScenario] = None
+
+
 def _resilience_cell_task(task: Dict[str, Any]) -> List[Dict[str, Any]]:
     """Execute all runs of one resilience cell (pickle-safe worker entry).
 
     ``task`` carries the pre-planned (workflow, schedule, budget) for the
     cell plus its dedicated slice of derived streams — the same streams
-    the serial loop would have consumed, so outputs are bit-identical.
-    Returns one plain dict per run; the parent does all ledger recording.
+    on every backend, so outputs are bit-identical. Returns one plain
+    dict per run; the parent does all ledger recording.
 
-    A ``scenario`` key (a :class:`~repro.faults.spot.SpotScenario`) makes
+    A ``scenario`` (a :class:`~repro.faults.spot.SpotScenario`) makes
     this a *spot* cell: fault plans are correlated revocation bursts, and
-    the scenario's checkpoint policy plus the cell's ``max_replans`` ride
-    into :func:`~repro.faults.runner.run_with_faults`.
+    the scenario's checkpoint policy rides into
+    :func:`~repro.faults.runner.run_with_faults`.
     """
     wf = task["wf"]
     schedule = task["schedule"]
-    budget = task["budget"]
     policy = task["policy"]
-    rate = task["rate"]
-    scenario: Optional[SpotScenario] = task.get("scenario")
+    scenario: Optional[SpotScenario] = task["scenario"]
     horizon = task["planned_makespan"] * task["horizon_factor"]
     runs: List[Dict[str, Any]] = []
     for stream in task["streams"]:
@@ -151,13 +171,13 @@ def _resilience_cell_task(task: Dict[str, Any]) -> List[Dict[str, Any]]:
         else:
             plan = FaultPlan.sample(
                 schedule, rng=stream, horizon=horizon,
-                crash_rate_per_hour=rate,
+                crash_rate_per_hour=task["rate"],
             )
         out = run_with_faults(
-            wf, task["platform"], budget, plan,
+            wf, task["platform"], task["budget"], plan,
             schedule=schedule, policy=None if policy == "none" else policy,
             rng=stream, max_attempts=task["max_attempts"],
-            max_replans=task.get("max_replans"),
+            max_replans=task["max_replans"],
             checkpoint=scenario.checkpoint if scenario is not None else None,
         )
         runs.append({
@@ -175,6 +195,125 @@ def _resilience_cell_task(task: Dict[str, Any]) -> List[Dict[str, Any]]:
             ),
         })
     return runs
+
+
+def _sweep(
+    cells: Sequence[_Cell],
+    *,
+    n_tasks: int,
+    n_runs: int,
+    budget_position: float,
+    sigma_ratio: float,
+    seed: int,
+    horizon_factor: float,
+    max_attempts: int,
+    max_replans: Optional[int],
+    plan_platform: CloudPlatform,
+    exec_platform: CloudPlatform,
+    point_extra: Sequence[str],
+    run_extra: Sequence[str],
+    rng: RngLike,
+    workers: Union[int, str],
+) -> ResilienceStudy:
+    """The one resilience protocol both public sweeps bind.
+
+    Plans each (family, scheduler) once on ``plan_platform``, with the
+    budget at ``budget_position`` on that platform's ``[B_min, B_high]``.
+    Cell ``i`` replays its plan on ``exec_platform`` under stream slice
+    ``[i·n_runs, (i+1)·n_runs)`` of ``rng`` (default ``seed``), on one
+    pool fan-out or inline. The parent then aggregates each cell into a
+    :class:`ResiliencePoint` and records its runs to the ledger in cell
+    order, labelled :attr:`ResiliencePoint.label`. A row's ``extra``
+    holds the point's ``point_extra`` fields, then the run's
+    ``run_extra`` fields.
+    """
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+    # One stream per (cell, run): plans and weights never alias across cells.
+    all_streams = spawn(rng if rng is not None else seed, len(cells) * n_runs)
+
+    planned: Dict[Tuple[str, str], Tuple[Any, Any, float, float]] = {}
+    tasks: List[Dict[str, Any]] = []
+    for i, cell in enumerate(cells):
+        key = (cell.axes["family"], cell.scheduler)
+        if key not in planned:
+            wf = generate(cell.axes["family"], n_tasks, rng=seed,
+                          sigma_ratio=sigma_ratio)
+            b_min = minimal_budget(wf, plan_platform)
+            b_high = high_budget(wf, plan_platform)
+            budget = b_min + budget_position * (b_high - b_min)
+            result = make_scheduler(cell.scheduler).schedule(
+                wf, plan_platform, budget)
+            planned[key] = (wf, result.schedule, budget,
+                            result.planned_makespan)
+        wf, schedule, budget, planned_makespan = planned[key]
+        tasks.append({
+            "wf": wf, "platform": exec_platform, "schedule": schedule,
+            "budget": budget, "planned_makespan": planned_makespan,
+            "policy": cell.axes["policy"],
+            "rate": cell.axes["crash_rate"],
+            "scenario": cell.scenario,
+            "horizon_factor": horizon_factor, "max_attempts": max_attempts,
+            "max_replans": max_replans,
+            "streams": all_streams[i * n_runs:(i + 1) * n_runs],
+        })
+
+    backend = parse_workers(workers)
+    if not backend.is_serial and len(tasks) > 1:
+        with make_pool(backend, max_workers=len(tasks)) as pool:
+            per_cell = pool.map(_resilience_cell_task, tasks)
+    else:
+        per_cell = [_resilience_cell_task(t) for t in tasks]
+
+    ledger = get_ledger()
+    study = ResilienceStudy()
+    for cell, task, runs in zip(cells, tasks, per_cell):
+        point = ResiliencePoint(
+            **cell.axes,
+            n_tasks=n_tasks,
+            budget=task["budget"],
+            n_runs=n_runs,
+            n_success=sum(
+                out["success"] and out["within_budget"] for out in runs),
+            n_budget_exhausted=sum(
+                out["outcome"] == OUTCOME_BUDGET_EXHAUSTED for out in runs),
+            mean_makespan=sum(out["makespan"] for out in runs) / len(runs),
+            mean_cost=sum(out["total_cost"] for out in runs) / len(runs),
+            mean_faults=sum(out["n_faults"] for out in runs) / len(runs),
+            # Completed runs that overran the budget: the validity breach
+            # the budget gate exists to prevent. Refused recoveries
+            # (budget_exhausted) may show sunk spend above budget — that
+            # money was burned by the fault itself, not by a decision.
+            n_over_budget=sum(
+                out["success"] and not out["within_budget"] for out in runs),
+        )
+        study.points.append(point)
+        if not ledger.enabled:
+            continue
+        for out in runs:
+            ledger.record(RunRow(
+                source="faults",
+                workflow=f"{point.family}-{n_tasks}",
+                family=point.family,
+                n_tasks=n_tasks,
+                algorithm=point.label,
+                budget=point.budget,
+                sigma_ratio=sigma_ratio,
+                planned_makespan=task["planned_makespan"],
+                sim_makespan=out["makespan"],
+                sim_cost=out["total_cost"],
+                success_rate=(
+                    1.0 if out["success"] and out["within_budget"] else 0.0),
+                n_reps=1,
+                n_vms=out["n_vms"],
+                outcome=out["outcome"],
+                n_faults=out["n_faults"],
+                extra={
+                    **{name: getattr(point, name) for name in point_extra},
+                    **{name: out[name] for name in run_extra},
+                },
+            ))
+    return study
 
 
 def resilience_sweep(
@@ -206,112 +345,27 @@ def resilience_sweep(
     ``workers > 1`` fans whole cells out to worker processes (a
     ``"host:port,host:port"`` node list fans them out to remote
     ``repro-exp worker`` nodes instead): planning stays in the parent,
-    cell ``i`` receives stream slice ``[i·n_runs, (i+1)·n_runs)``
-    exactly as the serial loop would, and the parent records every run
-    — results are bit-identical to serial on either backend.
+    every cell keeps its own stream slice, and the parent records every
+    run — results are bit-identical to serial on either backend.
     """
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    ledger = get_ledger()
-    study = ResilienceStudy()
-    base_rng = rng if rng is not None else seed
     cells = [
-        (family, algo, policy, rate)
+        _Cell({"family": family, "algorithm": algo, "policy": policy,
+               "crash_rate": rate}, scheduler=algo)
         for family in families
         for algo in algorithms
         for policy in policies
         for rate in crash_rates
     ]
-    # One stream per (cell, run): plans and weights never alias across cells.
-    all_streams = spawn(base_rng, len(cells) * n_runs)
-
-    planned: Dict[Tuple[str, str], Tuple[object, object, float, float]] = {}
-    tasks: List[Dict[str, Any]] = []
-    for i, (family, algo, policy, rate) in enumerate(cells):
-        key = (family, algo)
-        if key not in planned:
-            wf = generate(family, n_tasks, rng=seed, sigma_ratio=sigma_ratio)
-            b_min = minimal_budget(wf, platform)
-            b_high = high_budget(wf, platform)
-            budget = b_min + budget_position * (b_high - b_min)
-            result = make_scheduler(algo).schedule(wf, platform, budget)
-            planned[key] = (wf, result.schedule, budget,
-                            result.planned_makespan)
-        wf, schedule, budget, planned_makespan = planned[key]
-        tasks.append({
-            "wf": wf, "platform": platform, "schedule": schedule,
-            "budget": budget, "planned_makespan": planned_makespan,
-            "policy": policy, "rate": rate,
-            "horizon_factor": horizon_factor, "max_attempts": max_attempts,
-            "max_replans": max_replans,
-            "streams": all_streams[i * n_runs:(i + 1) * n_runs],
-        })
-
-    backend = parse_workers(workers)
-    if not backend.is_serial and len(tasks) > 1:
-        with make_pool(backend, max_workers=len(tasks)) as pool:
-            per_cell = pool.map(_resilience_cell_task, tasks)
-    else:
-        per_cell = [_resilience_cell_task(t) for t in tasks]
-
-    for (family, algo, policy, rate), task, runs in zip(cells, tasks, per_cell):
-        budget = task["budget"]
-        successes = exhausted = over = 0
-        makespans: List[float] = []
-        costs: List[float] = []
-        faults: List[int] = []
-        for out in runs:
-            ok = out["success"] and out["within_budget"]
-            successes += int(ok)
-            exhausted += int(out["outcome"] == OUTCOME_BUDGET_EXHAUSTED)
-            # Completed runs that overran the budget: the validity breach
-            # the budget gate exists to prevent. Refused recoveries
-            # (budget_exhausted) may show sunk spend above budget — that
-            # money was burned by the crash itself, not by a decision.
-            over += int(out["success"] and not out["within_budget"])
-            makespans.append(out["makespan"])
-            costs.append(out["total_cost"])
-            faults.append(out["n_faults"])
-            if ledger.enabled:
-                ledger.record(RunRow(
-                    source="faults",
-                    workflow=f"{family}-{n_tasks}",
-                    family=family,
-                    n_tasks=n_tasks,
-                    algorithm=f"{algo}+{policy}@{rate:g}",
-                    budget=budget,
-                    sigma_ratio=sigma_ratio,
-                    planned_makespan=task["planned_makespan"],
-                    sim_makespan=out["makespan"],
-                    sim_cost=out["total_cost"],
-                    success_rate=1.0 if ok else 0.0,
-                    n_reps=1,
-                    n_vms=out["n_vms"],
-                    outcome=out["outcome"],
-                    n_faults=out["n_faults"],
-                    extra={
-                        "policy": policy,
-                        "crash_rate": rate,
-                        "n_recoveries": out["n_recoveries"],
-                        "lost_cost": out["lost_cost"],
-                    },
-                ))
-        study.points.append(ResiliencePoint(
-            family=family,
-            n_tasks=n_tasks,
-            algorithm=algo,
-            policy=policy,
-            crash_rate=rate,
-            budget=budget,
-            n_runs=n_runs,
-            n_success=successes,
-            n_budget_exhausted=exhausted,
-            mean_makespan=sum(makespans) / len(makespans),
-            mean_cost=sum(costs) / len(costs),
-            mean_faults=sum(faults) / len(faults),
-            n_over_budget=over,
-        ))
-    return study
+    return _sweep(
+        cells, n_tasks=n_tasks, n_runs=n_runs,
+        budget_position=budget_position, sigma_ratio=sigma_ratio,
+        seed=seed, horizon_factor=horizon_factor,
+        max_attempts=max_attempts, max_replans=max_replans,
+        plan_platform=platform, exec_platform=platform,
+        point_extra=("policy", "crash_rate"),
+        run_extra=("n_recoveries", "lost_cost"),
+        rng=rng, workers=workers,
+    )
 
 
 def spot_resilience_sweep(
@@ -360,126 +414,40 @@ def spot_resilience_sweep(
     :func:`resilience_sweep` exactly; ledger rows are labelled
     ``{algo}+{policy}@spot{rate:g}r{reserve:g}``.
     """
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    ledger = get_ledger()
-    study = ResilienceStudy()
-    base_rng = rng if rng is not None else seed
     # One market trajectory per sweep: every cell prices spot identically,
     # so the reserve axis is the only thing that moves between cells.
     spot_market = (market if market is not None
                    else SpotMarket.sample(rng=seed))
     exec_platform = add_spot_categories(platform, spot_market)
-    plan_platform = spot_only(exec_platform)
     cells = [
-        (family, algo, policy, rate, reserve)
+        _Cell(
+            {"family": family, "algorithm": algo, "policy": policy,
+             "crash_rate": 0.0, "preemption_rate": rate,
+             "reserve": reserve, "spot": True},
+            scheduler=(algo if reserve <= 0.0
+                       else f"{algo}{RESERVE_SEPARATOR}{reserve:g}"),
+            scenario=SpotScenario(
+                market=spot_market, preemption_rate_per_hour=rate,
+                warning_s=warning_s, checkpoint=checkpoint,
+            ),
+        )
         for family in families
         for algo in algorithms
         for policy in policies
         for rate in preemption_rates
         for reserve in reserves
     ]
-    all_streams = spawn(base_rng, len(cells) * n_runs)
-
-    planned: Dict[Tuple[str, str, float],
-                  Tuple[object, object, float, float]] = {}
-    tasks: List[Dict[str, Any]] = []
-    for i, (family, algo, policy, rate, reserve) in enumerate(cells):
-        key = (family, algo, reserve)
-        if key not in planned:
-            wf = generate(family, n_tasks, rng=seed, sigma_ratio=sigma_ratio)
-            b_min = minimal_budget(wf, plan_platform)
-            b_high = high_budget(wf, plan_platform)
-            budget = b_min + budget_position * (b_high - b_min)
-            name = (algo if reserve <= 0.0
-                    else f"{algo}{RESERVE_SEPARATOR}{reserve:g}")
-            result = make_scheduler(name).schedule(wf, plan_platform, budget)
-            planned[key] = (wf, result.schedule, budget,
-                            result.planned_makespan)
-        wf, schedule, budget, planned_makespan = planned[key]
-        scenario = SpotScenario(
-            market=spot_market,
-            preemption_rate_per_hour=rate,
-            warning_s=warning_s,
-            checkpoint=checkpoint,
-        )
-        tasks.append({
-            "wf": wf, "platform": exec_platform, "schedule": schedule,
-            "budget": budget, "planned_makespan": planned_makespan,
-            "policy": policy, "rate": rate, "scenario": scenario,
-            "horizon_factor": horizon_factor, "max_attempts": max_attempts,
-            "max_replans": max_replans,
-            "streams": all_streams[i * n_runs:(i + 1) * n_runs],
-        })
-
-    backend = parse_workers(workers)
-    if not backend.is_serial and len(tasks) > 1:
-        with make_pool(backend, max_workers=len(tasks)) as pool:
-            per_cell = pool.map(_resilience_cell_task, tasks)
-    else:
-        per_cell = [_resilience_cell_task(t) for t in tasks]
-
-    for (family, algo, policy, rate, reserve), task, runs in zip(
-            cells, tasks, per_cell):
-        budget = task["budget"]
-        successes = exhausted = over = 0
-        makespans: List[float] = []
-        costs: List[float] = []
-        faults: List[int] = []
-        label = f"{algo}+{policy}@spot{rate:g}r{reserve:g}"
-        for out in runs:
-            ok = out["success"] and out["within_budget"]
-            successes += int(ok)
-            exhausted += int(out["outcome"] == OUTCOME_BUDGET_EXHAUSTED)
-            over += int(out["success"] and not out["within_budget"])
-            makespans.append(out["makespan"])
-            costs.append(out["total_cost"])
-            faults.append(out["n_faults"])
-            if ledger.enabled:
-                ledger.record(RunRow(
-                    source="faults",
-                    workflow=f"{family}-{n_tasks}",
-                    family=family,
-                    n_tasks=n_tasks,
-                    algorithm=label,
-                    budget=budget,
-                    sigma_ratio=sigma_ratio,
-                    planned_makespan=task["planned_makespan"],
-                    sim_makespan=out["makespan"],
-                    sim_cost=out["total_cost"],
-                    success_rate=1.0 if ok else 0.0,
-                    n_reps=1,
-                    n_vms=out["n_vms"],
-                    outcome=out["outcome"],
-                    n_faults=out["n_faults"],
-                    extra={
-                        "policy": policy,
-                        "preemption_rate": rate,
-                        "reserve": reserve,
-                        "n_recoveries": out["n_recoveries"],
-                        "lost_cost": out["lost_cost"],
-                        "n_preemptions": out["n_preemptions"],
-                    },
-                ))
-        study.points.append(ResiliencePoint(
-            family=family,
-            n_tasks=n_tasks,
-            algorithm=algo,
-            policy=policy,
-            crash_rate=0.0,
-            budget=budget,
-            n_runs=n_runs,
-            n_success=successes,
-            n_budget_exhausted=exhausted,
-            mean_makespan=sum(makespans) / len(makespans),
-            mean_cost=sum(costs) / len(costs),
-            mean_faults=sum(faults) / len(faults),
-            n_over_budget=over,
-            preemption_rate=rate,
-            reserve=reserve,
-            spot=True,
-        ))
-    return study
+    return _sweep(
+        cells, n_tasks=n_tasks, n_runs=n_runs,
+        budget_position=budget_position, sigma_ratio=sigma_ratio,
+        seed=seed, horizon_factor=horizon_factor,
+        max_attempts=max_attempts, max_replans=max_replans,
+        plan_platform=spot_only(exec_platform),
+        exec_platform=exec_platform,
+        point_extra=("policy", "preemption_rate", "reserve"),
+        run_extra=("n_recoveries", "lost_cost", "n_preemptions"),
+        rng=rng, workers=workers,
+    )
 
 
 def render_resilience(study: ResilienceStudy) -> str:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import nullcontext
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cluster import make_pool, parse_workers
@@ -27,6 +28,7 @@ from ..parallel import ShardPlan, ShardStats
 from ..platform.cloud import CloudPlatform
 from ..rng import spawn, spawn_seeds
 from ..scheduling.registry import make_scheduler
+from ..scheduling.schedule import Schedule
 from ..simulation.executor import run_replications, sample_weights
 from ..workflow.dag import Workflow
 from ..workflow.generators import generate
@@ -35,6 +37,7 @@ from .config import ExperimentConfig
 from .metrics import RunRecord
 
 __all__ = [
+    "replicate",
     "run_point",
     "run_sweep",
     "make_instances",
@@ -84,24 +87,16 @@ def convergence_diagnostics(
     }
 
 
-def _record_point(
-    wf: Workflow,
-    algorithm: str,
-    budget: float,
-    payload: Dict[str, Any],
-    *,
-    family: str,
-    instance: int,
-    sigma_ratio: float,
-    budget_index: int,
-) -> None:
+def _record_point(task: Dict[str, Any], payload: Dict[str, Any]) -> None:
     """Archive one sweep point (schedule + its reps) into the ledger.
 
-    ``payload`` is a :func:`_run_point_payload` result — plain values, so
-    recording works identically whether the point was computed in-process
-    or returned from a worker (workers never write the ledger; the parent
-    records every point, in serial iteration order).
+    ``task`` is the point's :func:`_point_task` and ``payload`` its
+    :func:`_run_point_payload` result — plain values, so recording works
+    identically whether the point was computed in-process or returned
+    from a worker (workers never write the ledger; the parent records
+    every point, in serial iteration order).
     """
+    wf: Workflow = task["wf"]
     ledger = get_ledger()
     records = payload["records"]
     if not ledger.enabled or not records:
@@ -114,11 +109,11 @@ def _record_point(
         RunRow(
             source="sweep",
             workflow=wf.name,
-            family=family or wf.name,
+            family=task["family"] or wf.name,
             n_tasks=wf.n_tasks,
-            algorithm=algorithm,
-            budget=budget,
-            sigma_ratio=sigma_ratio,
+            algorithm=task["algorithm"],
+            budget=task["budget"],
+            sigma_ratio=task["sigma_ratio"],
             planned_makespan=payload["planned_makespan"],
             planned_cost=payload["planned_cost"],
             within_budget_plan=payload["within_budget_plan"],
@@ -129,8 +124,8 @@ def _record_point(
             n_vms=payload["plan_n_vms"],
             sched_seconds=payload["sched_seconds"],
             extra={
-                "instance": instance,
-                "budget_index": budget_index,
+                "instance": task["instance"],
+                "budget_index": task["budget_index"],
                 "makespan_convergence": convergence_diagnostics(
                     makespans, batch_size=batch
                 ),
@@ -157,50 +152,47 @@ def make_instances(config: ExperimentConfig) -> Dict[Tuple[str, int], Workflow]:
     return out
 
 
-def _run_point_payload(
-    task: Dict[str, Any], pool: Optional[Any] = None
-) -> Dict[str, Any]:
-    """Compute one sweep point: schedule once, replicate, build records.
+def replicate(
+    wf: Workflow,
+    platform: CloudPlatform,
+    schedule: Schedule,
+    budget: float,
+    n_reps: int,
+    *,
+    seeds: Optional[Sequence[Any]] = None,
+    weight_draws: Optional[Sequence[Dict[str, float]]] = None,
+    dc_capacity: float = math.inf,
+    workers: Union[int, str] = 0,
+) -> List[Tuple[float, float, int, bool]]:
+    """The one shard step: replay ``schedule`` ``n_reps`` times, sharded.
 
-    Pure compute, no ledger access — this is the pickle-safe entrypoint
-    :func:`run_sweep` ships to worker processes (called with the default
-    ``pool=None``, so each worker runs its point serially). When called
-    in-process by :func:`run_point` with a pool, the replication loop
-    itself is sharded across the pool via
-    :func:`repro.simulation.executor.run_replications`.
+    Splits the replications into a :class:`~repro.parallel.ShardPlan`,
+    maps :func:`~repro.simulation.executor.run_replications` over the
+    shards, and merges the rows back into replication order — one
+    ``(makespan, total_cost, n_vms, within_budget)`` per replication.
+    Replication ``r`` replays ``weight_draws[r]`` when given, else draws
+    from ``seeds[r]`` (:func:`repro.rng.spawn_seeds` substreams).
 
-    ``task["seeds"]`` must be the :func:`repro.rng.spawn_seeds` substreams
-    of the caller's generator — spawned by the *caller* so the parent
-    generator advances identically on the serial and parallel paths.
+    ``workers`` picks the backend as everywhere else. A pool is built only
+    when it can help: always for a cluster node list, and for a process
+    count only when the plan has more than one shard — tiny replication
+    counts stay in-process. The rows are bit-identical on every backend.
     """
-    wf: Workflow = task["wf"]
-    platform: CloudPlatform = task["platform"]
-    algorithm: str = task["algorithm"]
-    budget: float = task["budget"]
-    n_reps: int = task["n_reps"]
-    weight_draws = task.get("weight_draws")
-    seeds = task["seeds"]
-    dc_capacity = task.get("dc_capacity", math.inf)
-
     if weight_draws is not None and len(weight_draws) < n_reps:
         raise ValueError(
             f"need {n_reps} weight draws, got {len(weight_draws)}"
         )
-    scheduler = make_scheduler(algorithm)
-    sched_budget = math.inf if algorithm in BASELINE_ALGORITHMS else budget
-    t0 = time.perf_counter()
-    result = scheduler.schedule(wf, platform, sched_budget)
-    sched_seconds = time.perf_counter() - t0
-
-    plan = ShardPlan.plan(
-        n_reps, pool.workers if pool is not None else 0
-    )
-    shard_tasks = []
-    for shard in plan.shards:
-        shard_tasks.append({
+    backend = parse_workers(workers)
+    fan_out = backend.kind == "cluster" or not ShardPlan.plan(
+        n_reps, backend.n_workers).is_serial
+    with make_pool(backend) if fan_out else nullcontext() as pool:
+        plan = ShardPlan.plan(
+            n_reps, pool.workers if pool is not None else 0
+        )
+        shard_tasks = [{
             "wf": wf,
             "platform": platform,
-            "schedule": result.schedule,
+            "schedule": schedule,
             "budget": budget,
             "dc_capacity": dc_capacity,
             "validate_first": shard.start == 0,
@@ -210,22 +202,81 @@ def _run_point_payload(
             ),
             "seeds": None if weight_draws is not None
             else list(shard.slice(seeds)),
-        })
-    if pool is None or plan.is_serial:
-        per_shard = [run_replications(t) for t in shard_tasks]
-    else:
-        per_shard = pool.map(run_replications, shard_tasks)
-    rows = plan.merge(per_shard)
+        } for shard in plan.shards]
+        if pool is None or plan.is_serial:
+            per_shard = [run_replications(t) for t in shard_tasks]
+        else:
+            per_shard = pool.map(run_replications, shard_tasks)
+    return plan.merge(per_shard)
+
+
+def _point_task(
+    wf: Workflow,
+    platform: CloudPlatform,
+    algorithm: str,
+    budget: float,
+    n_reps: int,
+    rng,
+    **point: Any,
+) -> Dict[str, Any]:
+    """The pickle-safe description of one sweep point.
+
+    Spawns the point's ``n_reps`` seeds from ``rng`` here, in the caller,
+    so the caller's generator advances identically whether the point is
+    then computed inline or in a worker. ``point`` carries ``family``,
+    ``instance``, ``sigma_ratio``, ``budget_index``, ``dc_capacity``,
+    ``weight_draws`` and, optionally, ``workers``.
+    """
+    return {
+        "wf": wf, "platform": platform, "algorithm": algorithm,
+        "budget": budget, "n_reps": n_reps,
+        "seeds": spawn_seeds(rng, n_reps), **point,
+    }
+
+
+def _run_point_payload(task: Dict[str, Any]) -> Dict[str, Any]:
+    """Compute one sweep point: schedule once, replicate, build records.
+
+    Pure compute, no ledger access — the pickle-safe entrypoint
+    :func:`run_sweep` ships to worker processes and runs inline on the
+    serial backend. ``task`` comes from :func:`_point_task`; its
+    ``workers`` knob (default serial) shards the replications through
+    :func:`replicate`. Opens the ``experiments.run_point`` span, in a
+    worker as in the parent.
+    """
+    wf: Workflow = task["wf"]
+    algorithm: str = task["algorithm"]
+    budget: float = task["budget"]
+    family = task["family"] or wf.name
+    with get_tracer().span(
+        "experiments.run_point", family=family, algorithm=algorithm,
+        budget=budget, n_reps=task["n_reps"],
+    ) as point_span:
+        sched_budget = math.inf if algorithm in BASELINE_ALGORITHMS else budget
+        t0 = time.perf_counter()
+        result = make_scheduler(algorithm).schedule(
+            wf, task["platform"], sched_budget)
+        sched_seconds = time.perf_counter() - t0
+        point_span.set(sched_seconds=sched_seconds,
+                       n_vms=result.schedule.n_vms)
+        rows = replicate(
+            wf, task["platform"], result.schedule, budget, task["n_reps"],
+            seeds=task["seeds"], weight_draws=task["weight_draws"],
+            dc_capacity=task["dc_capacity"],
+            # 1, not 0: a sweep's points replicate in-process, whatever
+            # REPRO_WORKERS says (0 would read it).
+            workers=task.get("workers", 1),
+        )
 
     records = [
         RunRecord(
-            family=task.get("family") or wf.name,
+            family=family,
             n_tasks=wf.n_tasks,
-            instance=task.get("instance", 0),
-            sigma_ratio=task.get("sigma_ratio", 0.0),
+            instance=task["instance"],
+            sigma_ratio=task["sigma_ratio"],
             algorithm=algorithm,
             budget=budget,
-            budget_index=task.get("budget_index", 0),
+            budget_index=task["budget_index"],
             rep=rep,
             makespan=makespan,
             total_cost=total_cost,
@@ -260,7 +311,6 @@ def run_point(
     dc_capacity: float = math.inf,
     weight_draws: Optional[Sequence[Dict[str, float]]] = None,
     workers: Union[int, str] = 0,
-    pool: Optional[Any] = None,
 ) -> List[RunRecord]:
     """Schedule once, execute ``n_reps`` stochastic runs, return records.
 
@@ -268,49 +318,22 @@ def run_point(
     repetition) — used by :func:`run_sweep` for common random numbers; by
     default fresh draws are sampled from ``rng``.
 
-    ``workers > 1`` shards the replication loop across worker processes
-    (or an existing ``pool``); a ``"host:port,host:port"`` node list
-    shards it across a :class:`repro.cluster.ClusterPool` of remote
-    ``repro-exp worker`` nodes instead. Every returned number is
-    bit-identical to the serial run either way — see ``docs/PARALLEL.md``
-    and ``docs/CLUSTER.md`` for the contract. Tiny replication counts
-    fall back to serial automatically on the process backend.
+    ``workers > 1`` shards the replication loop across worker processes;
+    a ``"host:port,host:port"`` node list shards it across a
+    :class:`repro.cluster.ClusterPool` of remote ``repro-exp worker``
+    nodes instead. Every returned number is bit-identical to the serial
+    run either way — see ``docs/PARALLEL.md`` and ``docs/CLUSTER.md`` for
+    the contract. Tiny replication counts fall back to serial
+    automatically on the process backend (see :func:`replicate`).
     """
-    # Spawning here (not in the payload) keeps the caller's generator
-    # advancing identically on every path, parallel or not.
-    seeds = spawn_seeds(rng, n_reps)
-    task = {
-        "wf": wf, "platform": platform, "algorithm": algorithm,
-        "budget": budget, "n_reps": n_reps, "seeds": seeds,
-        "family": family, "instance": instance,
-        "sigma_ratio": sigma_ratio, "budget_index": budget_index,
-        "dc_capacity": dc_capacity, "weight_draws": weight_draws,
-    }
-    backend = parse_workers(workers)
-    own_pool: Optional[Any] = None
-    if pool is None and not backend.is_serial:
-        if backend.kind == "cluster" or not ShardPlan.plan(
-            n_reps, backend.n_workers
-        ).is_serial:
-            own_pool = make_pool(backend)
-    try:
-        with get_tracer().span(
-            "experiments.run_point", family=family or wf.name,
-            algorithm=algorithm, budget=budget, n_reps=n_reps,
-        ) as point_span:
-            payload = _run_point_payload(task, pool=pool or own_pool)
-            point_span.set(
-                sched_seconds=payload["sched_seconds"],
-                n_vms=payload["plan_n_vms"],
-            )
-    finally:
-        if own_pool is not None:
-            own_pool.close()
-    _record_point(
-        wf, algorithm, budget, payload,
+    task = _point_task(
+        wf, platform, algorithm, budget, n_reps, rng,
         family=family, instance=instance, sigma_ratio=sigma_ratio,
-        budget_index=budget_index,
+        budget_index=budget_index, dc_capacity=dc_capacity,
+        weight_draws=weight_draws, workers=workers,
     )
+    payload = _run_point_payload(task)
+    _record_point(task, payload)
     return payload["records"]
 
 
@@ -341,13 +364,10 @@ def run_sweep(
     """
     tracer = get_tracer()
     instances = make_instances(config)
-    records: List[RunRecord] = []
     exec_streams = spawn(config.seed + 1, len(instances))
-    stream_idx = 0
-    backend = parse_workers(workers)
-    parallel = not backend.is_serial
     tasks: List[Dict[str, Any]] = []
-    for (family, instance), wf in instances.items():
+    for ((family, instance), wf), instance_stream in zip(
+            instances.items(), exec_streams):
         with tracer.span(
             "experiments.instance", family=family, instance=instance,
             n_tasks=wf.n_tasks,
@@ -361,54 +381,28 @@ def run_sweep(
             )
             # common random numbers: one weight realization per repetition,
             # shared by every (algorithm, budget) cell of this instance
-            instance_stream = exec_streams[stream_idx]
-            stream_idx += 1
             draws = [
                 sample_weights(wf, r)
                 for r in spawn(instance_stream, config.n_reps)
             ]
             for algorithm in config.algorithms:
                 for budget_index, budget in enumerate(grid):
-                    if not parallel:
-                        records.extend(
-                            run_point(
-                                wf,
-                                config.platform,
-                                algorithm,
-                                budget,
-                                config.n_reps,
-                                instance_stream,
-                                family=family,
-                                instance=instance,
-                                sigma_ratio=config.sigma_ratio,
-                                budget_index=budget_index,
-                                dc_capacity=dc_capacity,
-                                weight_draws=draws,
-                            )
-                        )
-                        continue
-                    # Mirror run_point's spawn so the instance stream
-                    # advances identically on both paths.
-                    seeds = spawn_seeds(instance_stream, config.n_reps)
-                    tasks.append({
-                        "wf": wf, "platform": config.platform,
-                        "algorithm": algorithm, "budget": budget,
-                        "n_reps": config.n_reps, "seeds": seeds,
-                        "family": family, "instance": instance,
-                        "sigma_ratio": config.sigma_ratio,
-                        "budget_index": budget_index,
-                        "dc_capacity": dc_capacity,
-                        "weight_draws": draws,
-                    })
-    if parallel and tasks:
+                    tasks.append(_point_task(
+                        wf, config.platform, algorithm, budget,
+                        config.n_reps, instance_stream,
+                        family=family, instance=instance,
+                        sigma_ratio=config.sigma_ratio,
+                        budget_index=budget_index,
+                        dc_capacity=dc_capacity, weight_draws=draws,
+                    ))
+    backend = parse_workers(workers)
+    if backend.is_serial or not tasks:
+        payloads = [_run_point_payload(task) for task in tasks]
+    else:
         with make_pool(backend) as worker_pool:
             payloads = worker_pool.map(_run_point_payload, tasks)
-        for task, payload in zip(tasks, payloads):
-            _record_point(
-                task["wf"], task["algorithm"], task["budget"], payload,
-                family=task["family"], instance=task["instance"],
-                sigma_ratio=task["sigma_ratio"],
-                budget_index=task["budget_index"],
-            )
-            records.extend(payload["records"])
+    records: List[RunRecord] = []
+    for task, payload in zip(tasks, payloads):
+        _record_point(task, payload)
+        records.extend(payload["records"])
     return records

@@ -10,14 +10,17 @@ both produce the same schedule, which is how we implement it.
 
 from __future__ import annotations
 
-import math
-
 from ..obs.tracing import get_tracer
 from ..platform.cloud import CloudPlatform
 from ..workflow.analysis import heft_order
 from ..workflow.dag import Workflow
 from .budget import divide_budget
-from .list_base import Scheduler, SchedulerResult, get_best_host
+from .list_base import (
+    InfiniteBudgetScheduler,
+    Scheduler,
+    SchedulerResult,
+    get_best_host,
+)
 from .planning import PlanningState
 
 __all__ = ["HeftScheduler", "HeftBudgScheduler"]
@@ -81,15 +84,8 @@ class HeftBudgScheduler(Scheduler):
         )
 
 
-class HeftScheduler(Scheduler):
+class HeftScheduler(InfiniteBudgetScheduler):
     """Classical HEFT: the infinite-budget special case of HEFTBUDG."""
 
     name = "heft"
-
-    def schedule(
-        self, wf: Workflow, platform: CloudPlatform, budget: float = math.inf
-    ) -> SchedulerResult:
-        """Run HEFT: HEFTBUDG with an unlimited budget (``budget`` ignored)."""
-        result = HeftBudgScheduler().schedule(wf, platform, math.inf)
-        result.algorithm = self.name
-        return result
+    budgeted = HeftBudgScheduler

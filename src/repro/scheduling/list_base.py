@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Tuple, Type
 
 from ..errors import SchedulingError
 from ..obs.tracing import DecisionRecord, get_tracer
@@ -133,3 +133,23 @@ class Scheduler(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
+
+
+class InfiniteBudgetScheduler(Scheduler):
+    """A classical baseline: its budget-aware twin run with ``B = ∞``.
+
+    Subclasses name the twin in :attr:`budgeted`; the result carries the
+    baseline's own :attr:`name`.
+    """
+
+    #: The budget-aware scheduler class this baseline runs unconstrained.
+    budgeted: Type[Scheduler]
+
+    def schedule(
+        self, wf: Workflow, platform: CloudPlatform, budget: float = math.inf
+    ) -> SchedulerResult:
+        """Run the budget-aware twin with an unlimited budget (``budget``
+        ignored)."""
+        result = self.budgeted().schedule(wf, platform, math.inf)
+        result.algorithm = self.name
+        return result

@@ -4,85 +4,32 @@ MIN-MIN [6], [14] repeatedly considers every *ready* task, computes its best
 (smallest-EFT) host, and schedules the (task, host) pair with the global
 minimum EFT. MIN-MINBUDG constrains each task's host choice by its budget
 share ``B_T`` plus the shared ``pot`` (Algorithm 2). The baseline is the
-infinite-budget special case.
+infinite-budget special case. The loop itself is the batch-mode loop
+MIN-MIN shares with MAX-MIN and SUFFERAGE
+(:mod:`repro.scheduling.ready_set`); MIN-MIN's selection key is
+``(EFT, cost)``.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Optional, Tuple
-
-from ..platform.cloud import CloudPlatform
-from ..workflow.dag import Workflow
-from .budget import divide_budget
-from .list_base import Scheduler, SchedulerResult, get_best_host
-from .planning import HostEvaluation, PlanningState
+from .list_base import InfiniteBudgetScheduler
+from .ready_set import _ReadySetBudgScheduler
 
 __all__ = ["MinMinScheduler", "MinMinBudgScheduler"]
 
 
-class MinMinBudgScheduler(Scheduler):
+class MinMinBudgScheduler(_ReadySetBudgScheduler):
     """Budget-aware MIN-MIN (Algorithm 3)."""
 
     name = "minmin_budg"
 
-    def schedule(
-        self, wf: Workflow, platform: CloudPlatform, budget: float
-    ) -> SchedulerResult:
-        """Run Algorithm 3: min-EFT choice over ready tasks under shares."""
-        wf.freeze()
-        plan = divide_budget(wf, platform, budget)
-        state = PlanningState(wf, platform)
-        position = {tid: i for i, tid in enumerate(wf.topological_order)}
-        pot = 0.0
-        all_within = True
-
-        # Incremental ready-set maintenance: unscheduled predecessor counts.
-        pending_preds: Dict[str, int] = {
-            tid: len(wf.predecessors(tid)) for tid in wf.tasks
-        }
-        ready = {tid for tid, n in pending_preds.items() if n == 0}
-
-        while ready:
-            best: Optional[Tuple[HostEvaluation, bool]] = None
-            best_key: Optional[Tuple[float, float, int]] = None
-            for tid in ready:
-                ev, within = get_best_host(state, tid, plan.share(tid) + pot)
-                key = (ev.eft, ev.cost, position[tid])
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (ev, within)
-            assert best is not None
-            ev, within = best
-            state.commit(ev)
-            pot = plan.share(ev.tid) + pot - ev.cost
-            if not within:
-                all_within = False
-            ready.discard(ev.tid)
-            for succ in wf.successors(ev.tid):
-                pending_preds[succ] -= 1
-                if pending_preds[succ] == 0:
-                    ready.add(succ)
-
-        return SchedulerResult(
-            schedule=state.to_schedule(),
-            planned_makespan=state.makespan,
-            planned_vm_cost=state.vm_rental_cost(),
-            within_budget_plan=all_within,
-            algorithm=self.name,
-            leftover_pot=max(pot, 0.0),
-        )
+    def _selection_key(self, state, tid, best):
+        """MIN-MIN key: the task's best EFT, then that host's cost."""
+        return (best.eft, best.cost)
 
 
-class MinMinScheduler(Scheduler):
+class MinMinScheduler(InfiniteBudgetScheduler):
     """Classical MIN-MIN: the infinite-budget special case of MIN-MINBUDG."""
 
     name = "minmin"
-
-    def schedule(
-        self, wf: Workflow, platform: CloudPlatform, budget: float = math.inf
-    ) -> SchedulerResult:
-        """Run MIN-MIN: MIN-MINBUDG with an unlimited budget (``budget`` ignored)."""
-        result = MinMinBudgScheduler().schedule(wf, platform, math.inf)
-        result.algorithm = self.name
-        return result
+    budgeted = MinMinBudgScheduler

@@ -13,17 +13,24 @@ machinery (they plug into Algorithm 1 + Algorithm 2 unchanged):
 
 Both are implemented budget-aware (per-task shares + the shared pot, like
 MIN-MINBUDG); the plain baselines are the infinite-budget special cases.
+All three budget-aware heuristics, MIN-MINBUDG included
+(:mod:`repro.scheduling.minmin`), run the one batch-mode loop of
+:class:`_ReadySetBudgScheduler` and differ only in its selection key.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from ..platform.cloud import CloudPlatform
 from ..workflow.dag import Workflow
 from .budget import divide_budget
-from .list_base import Scheduler, SchedulerResult, get_best_host
+from .list_base import (
+    InfiniteBudgetScheduler,
+    Scheduler,
+    SchedulerResult,
+    get_best_host,
+)
 from .planning import HostEvaluation, PlanningState
 
 __all__ = [
@@ -35,14 +42,20 @@ __all__ = [
 
 
 class _ReadySetBudgScheduler(Scheduler):
-    """Shared batch-mode loop; subclasses provide the selection key."""
+    """The batch-mode loop MIN-MIN, MAX-MIN and SUFFERAGE share.
+
+    Every step evaluates each ready task's best host (Algorithm 2, under
+    its share plus the pot) and commits the task with the smallest
+    ``(*selection_key, topological position)``. Subclasses provide the
+    key.
+    """
 
     name = "abstract_ready_set"
 
     def _selection_key(
         self, state: PlanningState, tid: str, best: HostEvaluation
-    ) -> float:
-        """Larger = scheduled earlier. Subclasses override."""
+    ) -> Tuple[float, ...]:
+        """Smaller = scheduled earlier. Subclasses override."""
         raise NotImplementedError
 
     def schedule(
@@ -56,29 +69,25 @@ class _ReadySetBudgScheduler(Scheduler):
         pot = 0.0
         all_within = True
 
+        # Incremental ready-set maintenance: unscheduled predecessor counts.
         pending_preds: Dict[str, int] = {
             tid: len(wf.predecessors(tid)) for tid in wf.tasks
         }
         ready: Set[str] = {t for t, n in pending_preds.items() if n == 0}
 
         while ready:
-            best_tid: Optional[str] = None
-            best_ev: Optional[HostEvaluation] = None
-            best_within = True
-            best_key: Optional[Tuple[float, int]] = None
+            scored = []
             for tid in ready:
                 ev, within = get_best_host(state, tid, plan.share(tid) + pot)
-                key = (self._selection_key(state, tid, ev), -position[tid])
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best_tid, best_ev, best_within = tid, ev, within
-            assert best_tid is not None and best_ev is not None
-            state.commit(best_ev)
-            pot = plan.share(best_tid) + pot - best_ev.cost
-            if not best_within:
+                key = (*self._selection_key(state, tid, ev), position[tid])
+                scored.append((key, ev, within))
+            _, ev, within = min(scored, key=lambda entry: entry[0])
+            state.commit(ev)
+            pot = plan.share(ev.tid) + pot - ev.cost
+            if not within:
                 all_within = False
-            ready.discard(best_tid)
-            for succ in wf.successors(best_tid):
+            ready.discard(ev.tid)
+            for succ in wf.successors(ev.tid):
                 pending_preds[succ] -= 1
                 if pending_preds[succ] == 0:
                     ready.add(succ)
@@ -99,8 +108,8 @@ class MaxMinBudgScheduler(_ReadySetBudgScheduler):
     name = "maxmin_budg"
 
     def _selection_key(self, state, tid, best):
-        """MAX-MIN key: the task's best EFT (bigger scheduled first)."""
-        return best.eft
+        """MAX-MIN key: the task's best EFT, negated (bigger goes first)."""
+        return (-best.eft,)
 
 
 class SufferageBudgScheduler(_ReadySetBudgScheduler):
@@ -109,36 +118,23 @@ class SufferageBudgScheduler(_ReadySetBudgScheduler):
     name = "sufferage_budg"
 
     def _selection_key(self, state, tid, best):
-        """Sufferage: how much the task loses without its best host."""
+        """Sufferage, negated: how much the task loses without its best
+        host (bigger goes first)."""
         efts = sorted(ev.eft for ev in state.evaluate_all(tid))
         if len(efts) < 2:
-            return 0.0
-        return efts[1] - efts[0]
+            return (0.0,)
+        return (-(efts[1] - efts[0]),)
 
 
-class MaxMinScheduler(Scheduler):
+class MaxMinScheduler(InfiniteBudgetScheduler):
     """Classical MAX-MIN: the infinite-budget special case."""
 
     name = "maxmin"
-
-    def schedule(
-        self, wf: Workflow, platform: CloudPlatform, budget: float = math.inf
-    ) -> SchedulerResult:
-        """Run MAX-MIN (``budget`` ignored)."""
-        result = MaxMinBudgScheduler().schedule(wf, platform, math.inf)
-        result.algorithm = self.name
-        return result
+    budgeted = MaxMinBudgScheduler
 
 
-class SufferageScheduler(Scheduler):
+class SufferageScheduler(InfiniteBudgetScheduler):
     """Classical SUFFERAGE: the infinite-budget special case."""
 
     name = "sufferage"
-
-    def schedule(
-        self, wf: Workflow, platform: CloudPlatform, budget: float = math.inf
-    ) -> SchedulerResult:
-        """Run SUFFERAGE (``budget`` ignored)."""
-        result = SufferageBudgScheduler().schedule(wf, platform, math.inf)
-        result.algorithm = self.name
-        return result
+    budgeted = SufferageBudgScheduler

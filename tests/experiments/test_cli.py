@@ -151,6 +151,28 @@ class TestTraceCommand:
                      "--gantt"]) == 0
         assert "legend" in capsys.readouterr().out
 
+    def test_trace_claims_no_worker_spans_when_reps_stay_in_process(
+            self, capsys, tmp_path):
+        # 5 reps cannot fill two minimum-size shards: no pool ever runs.
+        out = tmp_path / "w.trace.json"
+        assert main(["trace", "--n", "20", "--workers", "4", "--reps", "5",
+                     "--out", str(out)]) == 0
+        report = capsys.readouterr().out
+        assert "merged from" not in report
+        assert "the 5 reps ran in-process" in report
+
+    def test_trace_counts_spans_merged_from_a_pool(self, capsys, tmp_path):
+        import json
+
+        out = tmp_path / "p.trace.json"
+        assert main(["trace", "--n", "15", "--workers", "2", "--reps", "8",
+                     "--out", str(out)]) == 0
+        report = capsys.readouterr().out
+        assert "merged from" in report and "ran in-process" not in report
+        names = {e["args"]["name"] for e in json.loads(out.read_text())[
+            "traceEvents"] if e["ph"] == "M" and e["name"] == "process_name"}
+        assert any(name.startswith("worker") for name in names)
+
     def test_trace_unknown_algo_exits_2(self, capsys, tmp_path):
         out = tmp_path / "x.trace.json"
         assert main(["trace", "--algo", "nope", "--out", str(out)]) == 2

@@ -13,6 +13,10 @@ the comparison is exact.
   at 30 tasks (the refinement loop replans many times). These rows pin
   the schedules themselves: they were recorded before any change to the
   planners' host scan, at infinite capacity only.
+* ``maxmin_budg`` and ``sufferage_budg`` on the same three workflows at
+  60 tasks, infinite capacity only, recorded before their selection loop
+  was shared with ``minmin_budg``. On montage-60 the two pick the same
+  schedule.
 
 * **Infinite datacenter capacity** (the paper's main model) must match
   exactly. A transfer there finishes at ``start + size/bw`` (Eq. 7) and no
@@ -41,7 +45,10 @@ from repro.workflow.generators import generate
 
 N_TASKS = 200
 #: algorithms planned at another size than ``N_TASKS``
-N_TASKS_OF = {"heft_budg_plus": 30, "minmin_budg": 100}
+N_TASKS_OF = {
+    "heft_budg_plus": 30, "minmin_budg": 100,
+    "maxmin_budg": 60, "sufferage_budg": 60,
+}
 WORKFLOW_SEED = 2018
 REPLICATION_SEED = 2018
 N_SEEDS = 3
@@ -168,6 +175,48 @@ GOLDEN = {
             ("0x1.1781b95c4b0bbp+9", "0x1.09e23a9b2778dp+1", 49, True),
             ("0x1.33d4efd78f611p+9", "0x1.0e31e7c0eb29ep+1", 49, True),
             ("0x1.5a183d8d1ba78p+9", "0x1.0d9acc1599a5bp+1", 49, True),
+        ],
+    },
+    ("maxmin_budg", "montage"): {
+        math.inf: [
+            ("0x1.bf81514ba9084p+10", "0x1.de622edc274fap-1", 18, True),
+            ("0x1.0adb8030fd8bcp+11", "0x1.27c1a3eb6dbf1p+0", 18, True),
+            ("0x1.d544963a6fec0p+10", "0x1.d295cbdb0fe89p-1", 18, True),
+        ],
+    },
+    ("maxmin_budg", "ligo"): {
+        math.inf: [
+            ("0x1.8ccf63d5eaba0p+12", "0x1.6d207245bbcdcp+2", 24, True),
+            ("0x1.9b1d1feac1cffp+12", "0x1.9d141f6c76262p+2", 24, True),
+            ("0x1.9ba5164a79b4cp+12", "0x1.9e48dd93f500cp+2", 24, True),
+        ],
+    },
+    ("maxmin_budg", "cybershake"): {
+        math.inf: [
+            ("0x1.186890860ab88p+9", "0x1.40ed41c530802p+0", 29, True),
+            ("0x1.4b3160759d4bap+9", "0x1.46399761795ccp+0", 29, True),
+            ("0x1.0c94f18d0581fp+9", "0x1.3d7b0ed5973c6p+0", 29, True),
+        ],
+    },
+    ("sufferage_budg", "montage"): {
+        math.inf: [
+            ("0x1.bf81514ba9084p+10", "0x1.de622edc274fap-1", 18, True),
+            ("0x1.0adb8030fd8bcp+11", "0x1.27c1a3eb6dbf1p+0", 18, True),
+            ("0x1.d544963a6fec0p+10", "0x1.d295cbdb0fe89p-1", 18, True),
+        ],
+    },
+    ("sufferage_budg", "ligo"): {
+        math.inf: [
+            ("0x1.8ccf7191fa856p+12", "0x1.6cf2066a4a636p+2", 24, True),
+            ("0x1.9b1d1feac1cffp+12", "0x1.9d141f6c76262p+2", 24, True),
+            ("0x1.9a788464f14a2p+12", "0x1.9e19947e02c0cp+2", 24, True),
+        ],
+    },
+    ("sufferage_budg", "cybershake"): {
+        math.inf: [
+            ("0x1.186890860ab88p+9", "0x1.40ed41c530802p+0", 29, True),
+            ("0x1.4b3160759d4bap+9", "0x1.46399761795ccp+0", 29, True),
+            ("0x1.0c94f18d0581fp+9", "0x1.3d7b0ed5973c6p+0", 29, True),
         ],
     },
 }
