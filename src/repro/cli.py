@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _db_flag(l_prune)
     l_prune.add_argument("--max-rows", type=int, default=None,
-                         help="keep only the newest N rows")
+                         help="keep only the newest N rows of each table")
     l_prune.add_argument("--max-age-days", type=float, default=None,
                          help="drop rows older than this many days")
 
@@ -1071,8 +1071,8 @@ def _run_ledger(args: argparse.Namespace) -> int:
             deleted = ledger.prune(
                 max_rows=args.max_rows, max_age_days=args.max_age_days
             )
-            print(f"pruned {deleted} run(s); {ledger.count()} left in "
-                  f"{args.db}")
+            print(f"pruned {deleted} row(s); {ledger.count()} run(s) and "
+                  f"{ledger.load_count()} load run(s) left in {args.db}")
             return 0
 
         if cmd == "estimate-error":

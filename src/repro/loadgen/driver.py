@@ -50,7 +50,9 @@ from ..errors import (
     ServiceOverloadedError,
 )
 from ..obs.ledger import LoadRunRow
-from ..obs.sketch import DEFAULT_ALPHA, QuantileSketch
+from ..obs.sketch import (
+    DEFAULT_ALPHA, QuantileSketch, _add_by_stage, _stage_percentiles,
+)
 from .arrivals import (
     ArrivalConfig,
     PlannedRequest,
@@ -142,16 +144,7 @@ class LoadRunResult:
 
     def stage_percentiles(self) -> Dict[str, Dict[str, float]]:
         """``{stage: {count, p50, p95, p99}}`` over completed requests."""
-        out: Dict[str, Dict[str, float]] = {}
-        for name in sorted(self.stage_sketches):
-            sketch = self.stage_sketches[name]
-            pcts = sketch.percentiles()
-            if pcts:
-                out[name] = {"count": sketch.count, **pcts}
-        pcts = self.latency_sketch.percentiles()
-        if pcts:
-            out["request"] = {"count": self.latency_sketch.count, **pcts}
-        return out
+        return _stage_percentiles(self.stage_sketches, self.latency_sketch)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready summary (what ``load run --json`` prints)."""
@@ -367,12 +360,8 @@ class LoadDriver:
                     latencies.append(record.latency_s)
                     result.latency_sketch.add(record.latency_s)
                     result.cost_total += record.cost
-                    for stage, seconds in record.stages.items():
-                        sketch = result.stage_sketches.get(stage)
-                        if sketch is None:
-                            sketch = QuantileSketch(alpha=DEFAULT_ALPHA)
-                            result.stage_sketches[stage] = sketch
-                        sketch.add(seconds)
+                    _add_by_stage(
+                        result.stage_sketches, record.stages, DEFAULT_ALPHA)
                     if record.stages and abs(
                         sum(record.stages.values()) - record.wall_s
                     ) > _STAGE_SUM_TOL:

@@ -3,11 +3,12 @@
 The scheduling service and the run ledger publish small, JSON-ready
 events as work moves through the system::
 
-    job.queued     {job_id, fingerprint, algorithm}
-    job.started    {job_id}
-    job.progress   {job_id, stage, done, total}
-    job.finished   {job_id, state, error?}
-    run.recorded   {run_id, algorithm, workflow, ...}
+    job.queued         {job_id, fingerprint, algorithm}
+    job.started        {job_id}
+    job.progress       {job_id, stage, done, total}
+    job.finished       {job_id, state, error?}
+    run.recorded       {run_id, algorithm, workflow, ...}
+    load_run.recorded  {load_id, label, config_fingerprint, ...}
 
 Subscribers attach a bounded queue; publishing never blocks (a slow
 subscriber drops events and the drop is counted, it does not back up the
@@ -33,6 +34,7 @@ __all__ = [
     "Subscription",
     "JOB_EVENT_TYPES",
     "RUN_RECORDED",
+    "LOAD_RUN_RECORDED",
     "FAULT_INJECTED",
     "FAULT_PREEMPTED",
     "RECOVERY_APPLIED",
@@ -61,6 +63,9 @@ JOB_EVENT_TYPES = (
 
 #: Published by the ledger after a run row is committed.
 RUN_RECORDED = "run.recorded"
+
+#: Published by the ledger after a load-run row is committed.
+LOAD_RUN_RECORDED = "load_run.recorded"
 
 #: Published by the fault runner for every injected fault that fired.
 FAULT_INJECTED = "fault.injected"

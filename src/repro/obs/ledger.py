@@ -7,7 +7,11 @@ keeps it: one SQLite row per run (spec fingerprint, workflow family,
 algorithm, budget, predicted vs. simulated makespan and cost, success
 flag, Monte Carlo sample stats, trace id, wall-clock timings, package
 version), written in WAL mode so concurrent writers — service worker
-threads, a sweep process, the CLI — do not serialize each other.
+threads, a sweep process, the CLI — do not serialize each other. A
+second table, ``load_runs``, archives load-generator replays. One storage
+core serves both: each table is described once (name, id column, row
+class, JSON and boolean columns, the event it announces), and every
+write, read, count and prune goes through the same private path.
 
 Like the tracer, the ledger follows a null-object pattern: the
 process-global default is a :class:`NullLedger` whose ``record`` is a
@@ -40,10 +44,11 @@ import threading
 import time
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import (
-    Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple,
+    Any, Callable, ClassVar, Dict, FrozenSet, List, Mapping, Optional,
+    Sequence, Tuple, Type, TypeVar,
 )
 
-from .events import RUN_RECORDED, EventBus
+from .events import LOAD_RUN_RECORDED, RUN_RECORDED, EventBus
 
 __all__ = [
     "RunRow",
@@ -177,8 +182,30 @@ def _package_version() -> str:
         return f"py{sys.version_info[0]}.{sys.version_info[1]}"
 
 
+_R = TypeVar("_R", bound="_Row")
+
+
+class _Row:
+    """Dict round trip shared by the archive row dataclasses."""
+
+    #: Names the row kind in :meth:`from_dict`'s unknown-field error.
+    _kind: ClassVar[str]
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-ready form (one line of ``repro-exp ledger show``)."""
+        return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
+
+    @classmethod
+    def from_dict(cls: Type[_R], data: Mapping[str, Any]) -> _R:
+        """Inverse of :meth:`to_dict`; unknown keys are rejected."""
+        unknown = set(data) - {f.name for f in dataclass_fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown {cls._kind} fields: {sorted(unknown)}")
+        return cls(**data)
+
+
 @dataclass
-class RunRow:
+class RunRow(_Row):
     """One archived run (see the module docstring for field semantics).
 
     ``sim_*`` fields are means over the run's Monte Carlo repetitions and
@@ -213,26 +240,15 @@ class RunRow:
     n_faults: int = 0
     extra: Dict[str, Any] = field(default_factory=dict)
 
+    _kind: ClassVar[str] = "run row"
+
     def group_key(self) -> str:
         """Baseline grouping identity: ``family/n_tasks/algorithm``."""
         return f"{self.family or self.workflow}/{self.n_tasks}/{self.algorithm}"
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form (one line of ``repro-exp ledger show``)."""
-        return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunRow":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        names = {f.name for f in dataclass_fields(cls)}
-        unknown = set(data) - names
-        if unknown:
-            raise ValueError(f"unknown run row fields: {sorted(unknown)}")
-        return cls(**{k: data[k] for k in data})
-
 
 @dataclass
-class LoadRunRow:
+class LoadRunRow(_Row):
     """One archived load-generator replay (see ``repro.loadgen``).
 
     ``stages`` maps stage name to ``{count, p50, p95, p99}`` percentile
@@ -272,22 +288,62 @@ class LoadRunRow:
     version: str = ""
     extra: Dict[str, Any] = field(default_factory=dict)
 
+    _kind: ClassVar[str] = "load run"
+
     def group_key(self) -> str:
         """Baseline grouping identity: the run's label (or config)."""
         return self.label or self.config_fingerprint
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form."""
-        return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LoadRunRow":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        names = {f.name for f in dataclass_fields(cls)}
-        unknown = set(data) - names
-        if unknown:
-            raise ValueError(f"unknown load run fields: {sorted(unknown)}")
-        return cls(**{k: data[k] for k in data})
+@dataclass(frozen=True)
+class _Table:
+    """One archive table as the storage core reads and writes it.
+
+    ``columns`` are the inserted columns in order (the ``key`` id column
+    is assigned by SQLite and set back on the row); ``json_columns`` are
+    stored as sorted-key JSON text and ``bool_columns`` as 0/1. After a
+    commit the ledger publishes ``event`` with ``payload(row)``.
+    """
+
+    name: str
+    key: str
+    row: Type[_Row]
+    columns: Tuple[str, ...]
+    json_columns: FrozenSet[str]
+    bool_columns: FrozenSet[str]
+    #: What a missing row is called in :meth:`RunLedger._get`'s KeyError.
+    noun: str
+    event: str
+    payload: Callable[[Any], Dict[str, Any]]
+
+
+_RUNS = _Table(
+    name="runs", key="run_id", row=RunRow, columns=_COLUMNS,
+    json_columns=frozenset({"extra"}),
+    bool_columns=frozenset({"within_budget_plan"}),
+    noun="run", event=RUN_RECORDED,
+    payload=lambda row: dict(
+        run_id=row.run_id, source=row.source, algorithm=row.algorithm,
+        workflow=row.workflow or row.family, fingerprint=row.fingerprint,
+        trace_id=row.trace_id, sim_makespan=row.sim_makespan,
+        sim_cost=row.sim_cost,
+    ),
+)
+
+_LOAD_RUNS = _Table(
+    name="load_runs", key="load_id", row=LoadRunRow, columns=_LOAD_COLUMNS,
+    json_columns=frozenset({"refusals", "stages", "sketches", "extra"}),
+    bool_columns=frozenset(),
+    noun="load run", event=LOAD_RUN_RECORDED,
+    payload=lambda row: dict(
+        load_id=row.load_id, label=row.label,
+        config_fingerprint=row.config_fingerprint,
+        n_requests=row.n_requests, achieved_rps=row.achieved_rps,
+        p99_s=row.p99_s,
+    ),
+)
+
+_TABLES = (_RUNS, _LOAD_RUNS)
 
 
 class RunLedger:
@@ -302,7 +358,8 @@ class RunLedger:
         process a single shared connection is serialized by a lock.
     bus:
         Optional :class:`~repro.obs.events.EventBus`; when set, every
-        committed row is announced as a ``run.recorded`` event.
+        committed row is announced as a ``run.recorded`` (or, for a load
+        run, ``load_run.recorded``) event.
     """
 
     enabled = True
@@ -360,71 +417,33 @@ class RunLedger:
     # ------------------------------------------------------------------
     def record(self, row: RunRow) -> int:
         """Commit one row; returns its ``run_id`` (also set on ``row``)."""
-        if not row.recorded_at:
-            row.recorded_at = time.time()
-        if not row.version:
-            row.version = _package_version()
-        encoded = {
-            "within_budget_plan": int(row.within_budget_plan),
-            "extra": json.dumps(row.extra, sort_keys=True),
-        }
-        values = [encoded.get(col, getattr(row, col)) for col in _COLUMNS]
-        with self._lock:
-            cursor = self._conn.execute(
-                f"INSERT INTO runs ({', '.join(_COLUMNS)}) "
-                f"VALUES ({', '.join('?' * len(_COLUMNS))})",
-                values,
-            )
-            self._conn.commit()
-            row.run_id = int(cursor.lastrowid or 0)
-        if self.bus is not None:
-            self.bus.publish(
-                RUN_RECORDED,
-                run_id=row.run_id,
-                source=row.source,
-                algorithm=row.algorithm,
-                workflow=row.workflow or row.family,
-                fingerprint=row.fingerprint,
-                trace_id=row.trace_id,
-                sim_makespan=row.sim_makespan,
-                sim_cost=row.sim_cost,
-            )
-        return row.run_id
+        return self._insert(_RUNS, row)
 
     def record_load_run(self, row: LoadRunRow) -> int:
         """Commit one load-run row; returns its ``load_id``."""
+        return self._insert(_LOAD_RUNS, row)
+
+    def _insert(self, table: _Table, row: Any) -> int:
+        """Stamp, encode and commit ``row``; set and return its id."""
         if not row.recorded_at:
             row.recorded_at = time.time()
         if not row.version:
             row.version = _package_version()
-        encoded = {
-            "refusals": json.dumps(row.refusals, sort_keys=True),
-            "stages": json.dumps(row.stages, sort_keys=True),
-            "sketches": json.dumps(row.sketches, sort_keys=True),
-            "extra": json.dumps(row.extra, sort_keys=True),
-        }
-        values = [
-            encoded.get(col, getattr(row, col)) for col in _LOAD_COLUMNS
-        ]
+        encoded = {c: json.dumps(getattr(row, c), sort_keys=True)
+                   for c in table.json_columns}
+        encoded.update((c, int(getattr(row, c))) for c in table.bool_columns)
+        values = [encoded.get(c, getattr(row, c)) for c in table.columns]
         with self._lock:
             cursor = self._conn.execute(
-                f"INSERT INTO load_runs ({', '.join(_LOAD_COLUMNS)}) "
-                f"VALUES ({', '.join('?' * len(_LOAD_COLUMNS))})",
+                f"INSERT INTO {table.name} ({', '.join(table.columns)}) "
+                f"VALUES ({', '.join('?' * len(table.columns))})",
                 values,
             )
             self._conn.commit()
-            row.load_id = int(cursor.lastrowid or 0)
+            setattr(row, table.key, int(cursor.lastrowid or 0))
         if self.bus is not None:
-            self.bus.publish(
-                "load_run.recorded",
-                load_id=row.load_id,
-                label=row.label,
-                config_fingerprint=row.config_fingerprint,
-                n_requests=row.n_requests,
-                achieved_rps=row.achieved_rps,
-                p99_s=row.p99_s,
-            )
-        return row.load_id
+            self.bus.publish(table.event, **table.payload(row))
+        return getattr(row, table.key)
 
     def prune(
         self,
@@ -447,24 +466,20 @@ class RunLedger:
             raise ValueError(f"max_age_days must be >= 0, got {max_age_days}")
         deleted = 0
         with self._lock:
-            if max_age_days is not None:
-                cutoff = time.time() - max_age_days * 86400.0
-                for table in ("runs", "load_runs"):
-                    cursor = self._conn.execute(
-                        f"DELETE FROM {table} WHERE recorded_at < ?",
-                        (cutoff,),
-                    )
-                    deleted += cursor.rowcount
-            if max_rows is not None:
-                for table, key in (("runs", "run_id"),
-                                   ("load_runs", "load_id")):
-                    cursor = self._conn.execute(
-                        f"DELETE FROM {table} WHERE {key} NOT IN "
-                        f"(SELECT {key} FROM {table} "
-                        f"ORDER BY {key} DESC LIMIT ?)",
+            now = time.time()
+            for t in _TABLES:
+                if max_age_days is not None:
+                    deleted += self._conn.execute(
+                        f"DELETE FROM {t.name} WHERE recorded_at < ?",
+                        (now - max_age_days * 86400.0,),
+                    ).rowcount
+                if max_rows is not None:
+                    deleted += self._conn.execute(
+                        f"DELETE FROM {t.name} WHERE {t.key} NOT IN "
+                        f"(SELECT {t.key} FROM {t.name} "
+                        f"ORDER BY {t.key} DESC LIMIT ?)",
                         (int(max_rows),),
-                    )
-                    deleted += cursor.rowcount
+                    ).rowcount
             self._conn.commit()
         return deleted
 
@@ -473,13 +488,7 @@ class RunLedger:
     # ------------------------------------------------------------------
     def run(self, run_id: int) -> RunRow:
         """The row with ``run_id``; raises ``KeyError`` when absent."""
-        with self._lock:
-            found = self._conn.execute(
-                "SELECT * FROM runs WHERE run_id = ?", (run_id,)
-            ).fetchone()
-        if found is None:
-            raise KeyError(f"no run {run_id} in ledger {self.path!r}")
-        return self._decode(found)
+        return self._get(_RUNS, run_id)
 
     def runs(
         self,
@@ -497,48 +506,21 @@ class RunLedger:
         column; ``since`` is an epoch-seconds lower bound; ``limit <= 0``
         means unbounded.
         """
-        clauses, params = ["1=1"], []
-        if algorithm is not None:
-            clauses.append("algorithm = ?")
-            params.append(algorithm)
-        if workflow is not None:
-            clauses.append("(workflow = ? OR family = ?)")
-            params.extend([workflow, workflow])
-        if fingerprint is not None:
-            clauses.append("fingerprint = ?")
-            params.append(fingerprint)
-        if source is not None:
-            clauses.append("source = ?")
-            params.append(source)
-        if since is not None:
-            clauses.append("recorded_at >= ?")
-            params.append(since)
-        sql = (
-            f"SELECT * FROM runs WHERE {' AND '.join(clauses)} "
-            "ORDER BY run_id DESC"
-        )
-        if limit > 0:
-            sql += f" LIMIT {int(limit)}"
-        with self._lock:
-            found = self._conn.execute(sql, params).fetchall()
-        return [self._decode(r) for r in found]
+        return self._select(_RUNS, limit, (
+            ("algorithm = ?", algorithm),
+            ("(workflow = ? OR family = ?)", workflow),
+            ("fingerprint = ?", fingerprint),
+            ("source = ?", source),
+            ("recorded_at >= ?", since),
+        ))
 
     def count(self) -> int:
         """Total archived runs."""
-        with self._lock:
-            return int(
-                self._conn.execute("SELECT COUNT(*) FROM runs").fetchone()[0]
-            )
+        return self._count(_RUNS)
 
     def load_run(self, load_id: int) -> LoadRunRow:
         """The load run with ``load_id``; raises ``KeyError`` when absent."""
-        with self._lock:
-            found = self._conn.execute(
-                "SELECT * FROM load_runs WHERE load_id = ?", (load_id,)
-            ).fetchone()
-        if found is None:
-            raise KeyError(f"no load run {load_id} in ledger {self.path!r}")
-        return self._decode_load(found)
+        return self._get(_LOAD_RUNS, load_id)
 
     def load_runs(
         self,
@@ -549,34 +531,61 @@ class RunLedger:
         limit: int = 100,
     ) -> List[LoadRunRow]:
         """Newest-first query over archived load runs (``limit <= 0`` = all)."""
+        return self._select(_LOAD_RUNS, limit, (
+            ("label = ?", label),
+            ("config_fingerprint = ?", config_fingerprint),
+            ("recorded_at >= ?", since),
+        ))
+
+    def load_count(self) -> int:
+        """Total archived load runs."""
+        return self._count(_LOAD_RUNS)
+
+    def _get(self, table: _Table, row_id: int) -> Any:
+        with self._lock:
+            found = self._conn.execute(
+                f"SELECT * FROM {table.name} WHERE {table.key} = ?", (row_id,)
+            ).fetchone()
+        if found is None:
+            raise KeyError(f"no {table.noun} {row_id} in ledger {self.path!r}")
+        return self._decode(table, found)
+
+    def _select(self, table: _Table, limit: int,
+                filters: Sequence[Tuple[str, Any]]) -> List[Any]:
+        """Newest-first rows matching every filter whose value is set.
+
+        Each filter is a condition and its value, bound once per ``?``;
+        ``limit <= 0`` means unbounded.
+        """
         clauses, params = ["1=1"], []
-        if label is not None:
-            clauses.append("label = ?")
-            params.append(label)
-        if config_fingerprint is not None:
-            clauses.append("config_fingerprint = ?")
-            params.append(config_fingerprint)
-        if since is not None:
-            clauses.append("recorded_at >= ?")
-            params.append(since)
+        for clause, value in filters:
+            if value is not None:
+                clauses.append(clause)
+                params.extend([value] * clause.count("?"))
         sql = (
-            f"SELECT * FROM load_runs WHERE {' AND '.join(clauses)} "
-            "ORDER BY load_id DESC"
+            f"SELECT * FROM {table.name} WHERE {' AND '.join(clauses)} "
+            f"ORDER BY {table.key} DESC"
         )
         if limit > 0:
             sql += f" LIMIT {int(limit)}"
         with self._lock:
             found = self._conn.execute(sql, params).fetchall()
-        return [self._decode_load(r) for r in found]
+        return [self._decode(table, r) for r in found]
 
-    def load_count(self) -> int:
-        """Total archived load runs."""
+    def _count(self, table: _Table) -> int:
         with self._lock:
-            return int(
-                self._conn.execute(
-                    "SELECT COUNT(*) FROM load_runs"
-                ).fetchone()[0]
-            )
+            return int(self._conn.execute(
+                f"SELECT COUNT(*) FROM {table.name}"
+            ).fetchone()[0])
+
+    @staticmethod
+    def _decode(table: _Table, found: sqlite3.Row) -> Any:
+        data = dict(found)
+        for col in table.json_columns:
+            data[col] = json.loads(data[col]) if data[col] else {}
+        for col in table.bool_columns:
+            data[col] = bool(data[col])
+        return table.row(**data)
 
     def writable(self) -> bool:
         """Whether the database currently accepts writes (healthz probe).
@@ -638,18 +647,6 @@ class RunLedger:
                     stats["n_samples"] = float(pooled[2])
             out[key] = stats
         return out
-
-    def _decode(self, found: sqlite3.Row) -> RunRow:
-        data = dict(found)
-        data["within_budget_plan"] = bool(data["within_budget_plan"])
-        data["extra"] = json.loads(data["extra"]) if data["extra"] else {}
-        return RunRow(**data)
-
-    def _decode_load(self, found: sqlite3.Row) -> LoadRunRow:
-        data = dict(found)
-        for key in ("refusals", "stages", "sketches", "extra"):
-            data[key] = json.loads(data[key]) if data[key] else {}
-        return LoadRunRow(**data)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -205,3 +205,33 @@ class QuantileSketch:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"QuantileSketch(alpha={self.alpha}, count={self.count}, "
                 f"buckets={len(self._buckets)})")
+
+
+# Per-stage folds shared by the SLO monitor, the offline SLO report and
+# the load driver (package-internal; not part of the public API).
+def _add_by_stage(sketches: Dict[str, QuantileSketch],
+                  samples: Mapping[str, float], alpha: float) -> None:
+    """Add each ``{stage: seconds}`` sample to its stage's sketch.
+
+    A stage seen for the first time gets a fresh sketch of ``alpha``.
+    """
+    for stage, seconds in samples.items():
+        sketch = sketches.get(stage)
+        if sketch is None:
+            sketch = sketches[stage] = QuantileSketch(alpha=alpha)
+        sketch.add(seconds)
+
+
+def _stage_percentiles(
+    sketches: Mapping[str, QuantileSketch], request: QuantileSketch
+) -> Dict[str, Dict[str, float]]:
+    """``{stage: {count, p50, p95, p99}}`` by stage name, then ``request``.
+
+    Empty sketches are left out; ``request`` is the end-to-end sketch.
+    """
+    out: Dict[str, Dict[str, float]] = {}
+    for name, sketch in [*sorted(sketches.items()), ("request", request)]:
+        pcts = sketch.percentiles()
+        if pcts:
+            out[name] = {"count": sketch.count, **pcts}
+    return out

@@ -34,7 +34,9 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
 
-from .sketch import DEFAULT_ALPHA, QuantileSketch
+from .sketch import (
+    DEFAULT_ALPHA, QuantileSketch, _add_by_stage, _stage_percentiles,
+)
 
 __all__ = [
     "SLOTarget", "SLOMonitor", "DEFAULT_TARGETS", "DEFAULT_WINDOWS_S",
@@ -189,13 +191,7 @@ class SLOMonitor:
             if not success:
                 self._failures += 1
             self._request_sketch.add(duration_s)
-            if stages:
-                for stage, seconds in stages.items():
-                    sketch = self._stage_sketches.get(stage)
-                    if sketch is None:
-                        sketch = QuantileSketch(alpha=self.alpha)
-                        self._stage_sketches[stage] = sketch
-                    sketch.add(seconds)
+            _add_by_stage(self._stage_sketches, stages or {}, self.alpha)
             for target in self.targets:
                 good = target.is_good(
                     duration_s=duration_s, success=success)
@@ -217,17 +213,8 @@ class SLOMonitor:
     def stage_percentiles(self) -> Dict[str, Dict[str, float]]:
         """``{stage: {count, p50, p95, p99}}`` including ``request``."""
         with self._lock:
-            out: Dict[str, Dict[str, float]] = {}
-            for name in sorted(self._stage_sketches):
-                sketch = self._stage_sketches[name]
-                pcts = sketch.percentiles()
-                if pcts:
-                    out[name] = {"count": sketch.count, **pcts}
-            pcts = self._request_sketch.percentiles()
-            if pcts:
-                out["request"] = {
-                    "count": self._request_sketch.count, **pcts}
-            return out
+            return _stage_percentiles(
+                self._stage_sketches, self._request_sketch)
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-ready report for ``GET /v1/slo`` and ``stats()``."""
@@ -305,19 +292,8 @@ def report_from_rows(
     stage_sketches: Dict[str, QuantileSketch] = {}
     for _, duration, _, stages in parsed:
         request_sketch.add(duration)
-        for stage, seconds in stages.items():
-            stage_sketches.setdefault(
-                stage, QuantileSketch(alpha=alpha)).add(seconds)
-
-    stages_out: Dict[str, Dict[str, float]] = {}
-    for name in sorted(stage_sketches):
-        pcts = stage_sketches[name].percentiles()
-        if pcts:
-            stages_out[name] = {
-                "count": stage_sketches[name].count, **pcts}
-    pcts = request_sketch.percentiles()
-    if pcts:
-        stages_out["request"] = {"count": request_sketch.count, **pcts}
+        _add_by_stage(stage_sketches, stages, alpha)
+    stages_out = _stage_percentiles(stage_sketches, request_sketch)
 
     targets_out: List[Dict[str, Any]] = []
     for target in chosen:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.runner import convergence_diagnostics
-from repro.obs.ledger import RunLedger
+from repro.obs.ledger import LoadRunRow, RunLedger, RunRow
 
 SWEEP = ["--smoke", "--tasks", "12", "--instances", "1", "--reps", "4",
          "--budgets", "2", "--families", "montage",
@@ -148,3 +148,26 @@ class TestRegressGate:
         code = main(["ledger", "regress", "--db", db, "--baseline", bench])
         assert code == 2
         assert "cannot load baseline" in capsys.readouterr().err
+
+
+class TestPrune:
+    def test_prune_reports_rows_deleted_and_both_tables_left(
+            self, tmp_path, capsys):
+        db = str(tmp_path / "runs.db")
+        with RunLedger(db) as ledger:
+            for i in range(3):
+                ledger.record(RunRow(algorithm=f"a{i}"))
+            for i in range(4):
+                ledger.record_load_run(LoadRunRow(label=f"l{i}"))
+        assert main(["ledger", "prune", "--db", db, "--max-rows", "1"]) == 0
+        out = capsys.readouterr().out.strip()
+        # 2 runs + 3 load runs deleted; one of each remains
+        assert out == (f"pruned 5 row(s); 1 run(s) and 1 load run(s) "
+                       f"left in {db}")
+        with RunLedger(db) as ledger:
+            assert (ledger.count(), ledger.load_count()) == (1, 1)
+
+    def test_prune_needs_a_bound(self, tmp_path, capsys):
+        db = str(tmp_path / "runs.db")
+        assert main(["ledger", "prune", "--db", db]) == 2
+        assert "--max-rows" in capsys.readouterr().err

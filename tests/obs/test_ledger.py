@@ -5,9 +5,10 @@ import threading
 
 import pytest
 
-from repro.obs.events import EventBus
+from repro.obs.events import LOAD_RUN_RECORDED, EventBus
 from repro.obs.ledger import (
     SCHEMA_VERSION,
+    LoadRunRow,
     NullLedger,
     RunLedger,
     RunRow,
@@ -83,6 +84,21 @@ class TestRoundtrip:
         assert len(events) == 1
         assert events[0].data["trace_id"] == "job-7"
         assert events[0].data["run_id"] == 1
+
+    def test_record_load_run_publishes_load_run_recorded_event(self):
+        bus = EventBus()
+        with RunLedger(bus=bus) as ledger:
+            ledger.record(make_row())
+            ledger.record_load_run(LoadRunRow(
+                label="ci-load", config_fingerprint="cfg", n_requests=40,
+                achieved_rps=199.5, p99_s=0.004, stages={"admit": {}}))
+        assert LOAD_RUN_RECORDED == "load_run.recorded"
+        events = bus.history(types=(LOAD_RUN_RECORDED,))
+        assert len(events) == 1
+        assert events[0].data == {
+            "load_id": 1, "label": "ci-load", "config_fingerprint": "cfg",
+            "n_requests": 40, "achieved_rps": 199.5, "p99_s": 0.004,
+        }
 
 
 class TestPersistence:
