@@ -345,9 +345,13 @@ class LoadDriver:
         )
         lock = threading.Lock()
         latencies: List[float] = []
+        # Per planned position, summed in planned order once the pool has
+        # drained: adding in completion order would make the float total
+        # differ in its last bits between replays of one sequence.
+        costs = [0.0] * len(planned)
         started = time.perf_counter()
 
-        def fire(p: PlannedRequest) -> None:
+        def fire(position: int, p: PlannedRequest) -> None:
             sent_offset = time.perf_counter() - started
             record = self._send(p, sent_offset)
             with lock:
@@ -359,7 +363,7 @@ class LoadDriver:
                 if record.outcome in ("ok", "cached"):
                     latencies.append(record.latency_s)
                     result.latency_sketch.add(record.latency_s)
-                    result.cost_total += record.cost
+                    costs[position] = record.cost
                     _add_by_stage(
                         result.stage_sketches, record.stages, DEFAULT_ALPHA)
                     if record.stages and abs(
@@ -374,16 +378,18 @@ class LoadDriver:
             thread_name_prefix="repro-loadgen",
         ) as pool:
             futures = []
-            for p in planned:
+            for position, p in enumerate(planned):
                 if self.pace:
                     delay = p.offset_s - (time.perf_counter() - started)
                     if delay > 0:
                         time.sleep(delay)
                 # Open loop: submission never waits for completions; a
                 # saturated pool queues the send (visible as send lag).
-                futures.append(pool.submit(fire, p))
+                futures.append(pool.submit(fire, position, p))
             for future in futures:
                 future.result()
+        for cost in costs:
+            result.cost_total += cost
 
         result.duration_s = time.perf_counter() - started
         if result.duration_s > 0:

@@ -1,12 +1,14 @@
 """Budget-constrained host selection (Algorithm 2) and the scheduler API.
 
-``get_best_host`` is the paper's ``getBestHost(T, P, B_T + pot)``: among the
-used VMs plus one fresh VM per category, pick the host with the smallest EFT
-among those whose incremental cost fits the task's allotted budget; any
-leftover goes back into the shared ``pot``. When *no* host fits, the
-cheapest host is selected (the schedule must exist; the overrun then shows
-up in the validity metric, exactly as the paper's near-minimum-budget
-experiments do).
+``get_best_host`` is the paper's ``getBestHost(T, P, B_T + pot)``: it
+evaluates the used VMs plus one fresh VM per category, and ``select_host``
+picks the host with the smallest EFT among those whose incremental cost
+fits the task's allotted budget; any leftover goes back into the shared
+``pot``. When *no* host fits, the cheapest host is selected (the schedule
+must exist; the overrun then shows up in the validity metric, exactly as
+the paper's near-minimum-budget experiments do). Planners that keep their
+own evaluations up to date (the batch-mode loop of
+:mod:`repro.scheduling.ready_set`) call ``select_host`` directly.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Tuple, Type
+from operator import attrgetter
+from typing import List, Tuple, Type
 
 from ..errors import SchedulingError
 from ..obs.tracing import DecisionRecord, get_tracer
@@ -23,13 +26,18 @@ from ..workflow.dag import Workflow
 from .planning import HostEvaluation, PlanningState
 from .schedule import Schedule
 
-__all__ = ["get_best_host", "Scheduler", "SchedulerResult"]
+__all__ = ["get_best_host", "select_host", "Scheduler", "SchedulerResult"]
 
 #: Absolute dollar slack for budget comparisons (float hygiene).
 _BUDGET_TOL = 1e-9
 
 #: Candidate evaluations kept per decision record (full count still logged).
 _MAX_LOGGED_CANDIDATES = 12
+
+#: Preference orders of :func:`select_host`; ``min`` keeps the first of
+#: equals, so list order breaks the remaining ties.
+_BY_EFT = attrgetter("eft", "cost")
+_BY_COST = attrgetter("cost", "eft")
 
 
 def _record_selection(
@@ -40,7 +48,7 @@ def _record_selection(
     within: bool,
 ) -> None:
     """Emit one host-selection decision record to the active tracer."""
-    ranked = sorted(evaluations, key=lambda ev: (ev.eft, ev.cost))
+    ranked = sorted(evaluations, key=_BY_EFT)
     candidates = [
         {
             "vm": ev.vm_id,
@@ -68,6 +76,34 @@ def _record_selection(
     )
 
 
+def select_host(
+    tid: str,
+    evaluations: List[HostEvaluation],
+    allowance: float,
+) -> Tuple[HostEvaluation, bool]:
+    """Algorithm 2's choice among ``tid``'s host ``evaluations``.
+
+    ``evaluations`` come in :meth:`PlanningState.evaluate_all` order (VMs
+    by id, then categories). Returns ``(evaluation, within_budget)``: the
+    smallest EFT among the hosts whose cost fits ``allowance`` dollars,
+    ties breaking toward the cheaper host, then toward the first in that
+    order (the lowest-numbered VM); when none fits, the cheapest host (EFT
+    breaks ties) and ``False``.
+    """
+    if not evaluations:
+        raise SchedulingError(f"no candidate hosts for task {tid!r}")
+    limit = allowance + _BUDGET_TOL
+    affordable = [ev for ev in evaluations if ev.cost <= limit]
+    if affordable:
+        chosen, within = min(affordable, key=_BY_EFT), True
+    else:
+        # Nothing fits: fall back to the cheapest option (EFT breaks ties).
+        chosen, within = min(evaluations, key=_BY_COST), False
+    if get_tracer().enabled:
+        _record_selection(tid, evaluations, chosen, allowance, within)
+    return chosen, within
+
+
 def get_best_host(
     state: PlanningState,
     tid: str,
@@ -75,26 +111,10 @@ def get_best_host(
 ) -> Tuple[HostEvaluation, bool]:
     """Algorithm 2: best host for ``tid`` under ``allowance`` dollars.
 
-    Returns ``(evaluation, within_budget)``. Ties on EFT break toward the
-    cheaper host, then toward reusing the lowest-numbered VM (deterministic).
+    Evaluates every candidate host (:meth:`PlanningState.evaluate_all`),
+    then chooses with :func:`select_host`.
     """
-    evaluations = state.evaluate_all(tid)
-    if not evaluations:
-        raise SchedulingError(f"no candidate hosts for task {tid!r}")
-
-    def sort_key(ev: HostEvaluation) -> Tuple[float, float, float]:
-        vm_rank = float(ev.vm_id) if ev.vm_id is not None else math.inf
-        return (ev.eft, ev.cost, vm_rank)
-
-    affordable = [ev for ev in evaluations if ev.cost <= allowance + _BUDGET_TOL]
-    if affordable:
-        chosen, within = min(affordable, key=sort_key), True
-    else:
-        # Nothing fits: fall back to the cheapest option (EFT breaks ties).
-        chosen, within = min(evaluations, key=lambda ev: (ev.cost, ev.eft)), False
-    if get_tracer().enabled:
-        _record_selection(tid, evaluations, chosen, allowance, within)
-    return chosen, within
+    return select_host(tid, state.evaluate_all(tid), allowance)
 
 
 @dataclass

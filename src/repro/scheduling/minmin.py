@@ -23,7 +23,7 @@ class MinMinBudgScheduler(_ReadySetBudgScheduler):
 
     name = "minmin_budg"
 
-    def _selection_key(self, state, tid, best):
+    def _selection_key(self, row, best):
         """MIN-MIN key: the task's best EFT, then that host's cost."""
         return (best.eft, best.cost)
 

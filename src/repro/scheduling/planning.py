@@ -24,7 +24,7 @@ about uploads: every output is assumed to go through the datacenter (§V-B:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import SchedulingError
 from ..platform.cloud import CloudPlatform
@@ -35,14 +35,15 @@ from .schedule import Schedule
 __all__ = ["HostEvaluation", "PlannedVM", "PlanningState"]
 
 
-@dataclass(frozen=True)
-class HostEvaluation:
+class HostEvaluation(NamedTuple):
     """Outcome of evaluating one candidate host for one task.
 
     ``vm_id`` is ``None`` for a fresh VM (its id is allocated on commit).
     ``eft`` is the Earliest Finish Time (compute end); ``cost`` the
     incremental dollars ``ct_{T,host}``; the remaining fields carry the
     timeline needed to commit the decision without recomputation.
+    Immutable; a named tuple because planners build one per candidate
+    host.
     """
 
     tid: str
@@ -192,10 +193,54 @@ class PlanningState:
         self, tid: str, vm: Optional[PlannedVM], category: VMCategory
     ) -> HostEvaluation:
         """Evaluate placing ``tid`` on ``vm`` (or a fresh ``category`` VM)."""
-        bw = self.platform.bandwidth
-        inputs_ready, download_bytes = self._inputs_at_dc(
-            tid, vm.vm_id if vm is not None else None
+        inputs = self._inputs_at_dc(tid, vm.vm_id if vm is not None else None)
+        return self._place(
+            tid, vm, category, inputs,
+            self.planning_weight(tid), self._upload_time(tid),
         )
+
+    def evaluate_all(self, tid: str) -> List[HostEvaluation]:
+        """Evaluations on every used VM plus one fresh VM per category.
+
+        Equal to :meth:`evaluate` host by host, in the order "VMs by id,
+        then categories". The host-independent context — inputs as seen
+        from a host that holds no predecessor, the planning weight, the
+        upload time — is computed once; only the VMs that hold a
+        predecessor recompute their inputs, from scratch (their download
+        bytes are not the remote sum minus the local bytes, because float
+        sums depend on their order).
+        """
+        remote = self._inputs_at_dc(tid, None)
+        weight = self.planning_weight(tid)
+        upload = self._upload_time(tid)
+        local = {self.assignment[pred] for pred in self.wf.predecessors(tid)}
+        out = [
+            self._place(
+                tid, vm, vm.category,
+                self._inputs_at_dc(tid, vm.vm_id) if vm.vm_id in local else remote,
+                weight, upload,
+            )
+            for vm in self.vms
+        ]
+        out.extend(
+            self._place(tid, None, cat, remote, weight, upload)
+            for cat in self.platform.categories
+        )
+        return out
+
+    def _place(
+        self,
+        tid: str,
+        vm: Optional[PlannedVM],
+        category: VMCategory,
+        inputs: Tuple[float, float],
+        weight: float,
+        upload: float,
+    ) -> HostEvaluation:
+        """Eq. 7 timeline and incremental cost of ``tid`` on one host, given
+        its ``(ready_time, download_bytes)``, planning weight and upload
+        time."""
+        inputs_ready, download_bytes = inputs
         if vm is None:
             t_begin = inputs_ready
             download_start = t_begin + category.boot_time
@@ -203,34 +248,20 @@ class PlanningState:
             prev_window_end = window_start
         else:
             category = vm.category
-            t_begin = max(vm.compute_free, inputs_ready, vm.last_dispatch)
+            t_begin = max(min(vm.core_free), inputs_ready, vm.last_dispatch)
             download_start = t_begin
             window_start = vm.ready_time
             prev_window_end = vm.window_end
-        compute_start = download_start + download_bytes / bw
-        eft = compute_start + self.planning_weight(tid) / category.speed
-        upload_end = eft + self._upload_time(tid)
+        compute_start = download_start + download_bytes / self.platform.bandwidth
+        eft = compute_start + weight / category.speed
+        upload_end = eft + upload
         window_end = max(prev_window_end, eft, upload_end)
         cost = (window_end - prev_window_end) * category.cost_rate
         return HostEvaluation(
-            tid=tid,
-            category=category,
-            vm_id=vm.vm_id if vm is not None else None,
-            eft=eft,
-            cost=cost,
-            t_begin=t_begin,
-            download_start=download_start,
-            compute_start=compute_start,
-            upload_end=upload_end,
-            window_start=window_start,
-            window_end=window_end,
+            tid, category, vm.vm_id if vm is not None else None, eft, cost,
+            t_begin, download_start, compute_start, upload_end,
+            window_start, window_end,
         )
-
-    def evaluate_all(self, tid: str) -> List[HostEvaluation]:
-        """Evaluations on every used VM plus one fresh VM per category."""
-        out = [self.evaluate(tid, vm, vm.category) for vm in self.vms]
-        out.extend(self.evaluate(tid, None, cat) for cat in self.platform.categories)
-        return out
 
     # ------------------------------------------------------------------
     def commit(self, ev: HostEvaluation) -> PlannedVM:

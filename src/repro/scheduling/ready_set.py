@@ -20,7 +20,7 @@ All three budget-aware heuristics, MIN-MINBUDG included
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from typing import Dict, List, Tuple
 
 from ..platform.cloud import CloudPlatform
 from ..workflow.dag import Workflow
@@ -29,7 +29,7 @@ from .list_base import (
     InfiniteBudgetScheduler,
     Scheduler,
     SchedulerResult,
-    get_best_host,
+    select_host,
 )
 from .planning import HostEvaluation, PlanningState
 
@@ -44,16 +44,23 @@ __all__ = [
 class _ReadySetBudgScheduler(Scheduler):
     """The batch-mode loop MIN-MIN, MAX-MIN and SUFFERAGE share.
 
-    Every step evaluates each ready task's best host (Algorithm 2, under
+    Every step chooses each ready task's best host (Algorithm 2, under
     its share plus the pot) and commits the task with the smallest
     ``(*selection_key, topological position)``. Subclasses provide the
     key.
+
+    Each ready task keeps one row of host evaluations, in
+    :meth:`PlanningState.evaluate_all` order (VMs by id, then
+    categories). A commit changes one VM only, so it re-evaluates that
+    VM's column of every row (a newly enrolled VM adds the column); the
+    other entries stay exact, because a ready task's inputs are fixed and
+    the other hosts did not move. Fresh-VM entries never change.
     """
 
     name = "abstract_ready_set"
 
     def _selection_key(
-        self, state: PlanningState, tid: str, best: HostEvaluation
+        self, row: List[HostEvaluation], best: HostEvaluation
     ) -> Tuple[float, ...]:
         """Smaller = scheduled earlier. Subclasses override."""
         raise NotImplementedError
@@ -61,7 +68,8 @@ class _ReadySetBudgScheduler(Scheduler):
     def schedule(
         self, wf: Workflow, platform: CloudPlatform, budget: float
     ) -> SchedulerResult:
-        """Batch-mode loop: evaluate all ready tasks, commit the winner."""
+        """Batch-mode loop: select a host for every ready task, commit the
+        winner, refresh the committed VM's column."""
         wf.freeze()
         plan = divide_budget(wf, platform, budget)
         state = PlanningState(wf, platform)
@@ -73,24 +81,34 @@ class _ReadySetBudgScheduler(Scheduler):
         pending_preds: Dict[str, int] = {
             tid: len(wf.predecessors(tid)) for tid in wf.tasks
         }
-        ready: Set[str] = {t for t, n in pending_preds.items() if n == 0}
+        rows: Dict[str, List[HostEvaluation]] = {
+            tid: state.evaluate_all(tid)
+            for tid in wf.topological_order
+            if pending_preds[tid] == 0
+        }
 
-        while ready:
+        while rows:
             scored = []
-            for tid in ready:
-                ev, within = get_best_host(state, tid, plan.share(tid) + pot)
-                key = (*self._selection_key(state, tid, ev), position[tid])
+            for tid, row in rows.items():
+                ev, within = select_host(tid, row, plan.share(tid) + pot)
+                key = (*self._selection_key(row, ev), position[tid])
                 scored.append((key, ev, within))
             _, ev, within = min(scored, key=lambda entry: entry[0])
-            state.commit(ev)
+            vm = state.commit(ev)
             pot = plan.share(ev.tid) + pot - ev.cost
             if not within:
                 all_within = False
-            ready.discard(ev.tid)
+            del rows[ev.tid]
+            for tid, row in rows.items():
+                refreshed = state.evaluate(tid, vm, vm.category)
+                if ev.is_new_vm:
+                    row.insert(vm.vm_id, refreshed)
+                else:
+                    row[vm.vm_id] = refreshed
             for succ in wf.successors(ev.tid):
                 pending_preds[succ] -= 1
                 if pending_preds[succ] == 0:
-                    ready.add(succ)
+                    rows[succ] = state.evaluate_all(succ)
 
         return SchedulerResult(
             schedule=state.to_schedule(),
@@ -107,7 +125,7 @@ class MaxMinBudgScheduler(_ReadySetBudgScheduler):
 
     name = "maxmin_budg"
 
-    def _selection_key(self, state, tid, best):
+    def _selection_key(self, row, best):
         """MAX-MIN key: the task's best EFT, negated (bigger goes first)."""
         return (-best.eft,)
 
@@ -117,10 +135,10 @@ class SufferageBudgScheduler(_ReadySetBudgScheduler):
 
     name = "sufferage_budg"
 
-    def _selection_key(self, state, tid, best):
+    def _selection_key(self, row, best):
         """Sufferage, negated: how much the task loses without its best
         host (bigger goes first)."""
-        efts = sorted(ev.eft for ev in state.evaluate_all(tid))
+        efts = sorted(ev.eft for ev in row)
         if len(efts) < 2:
             return (0.0,)
         return (-(efts[1] - efts[0]),)

@@ -1,10 +1,14 @@
 """Open-loop driver: replay outcomes, ledger archival, typed refusals."""
 
+import time
+from types import SimpleNamespace
+
 import pytest
 
 from repro.admission.tenants import TenantRegistry
 from repro.errors import ServiceError
 from repro.loadgen import ArrivalConfig, LoadDriver
+from repro.loadgen.arrivals import PlannedRequest
 from repro.obs.ledger import RunLedger
 from repro.service.engine import SchedulingService
 
@@ -57,6 +61,50 @@ class TestReplay:
         result = driver.run(config(rate=100.0, n_requests=20, seed=2))
         planned_span = 20 / 100.0
         assert result.duration_s >= planned_span * 0.5
+
+    def test_cost_total_is_bit_identical_across_replays(self):
+        totals = []
+        for _ in range(2):
+            with SchedulingService(cache_size=64) as svc:
+                driver = LoadDriver(svc, concurrency=4, pace=False)
+                totals.append(driver.run(config(spec_seeds=6)).cost_total)
+        assert totals[0].hex() == totals[1].hex()
+
+    def test_cost_total_sums_in_planned_order(self):
+        # Later requests finish first, and the costs round differently
+        # in completion order than in planned order.
+        costs = [1e16, 1.0, -1e16, 1.0]
+
+        def in_order(values):
+            total = 0.0
+            for value in values:
+                total += value
+            return total
+
+        assert in_order(costs) != in_order(reversed(costs))
+
+        class ReverseService:
+            def health(self):
+                return {"ready": True}
+
+            def schedule(self, request):
+                time.sleep(request["delay_s"])
+                return SimpleNamespace(
+                    cached=False, planned_cost=request["cost"], stages=None)
+
+        planned = [
+            PlannedRequest(
+                index=i, offset_s=0.0, fingerprint=str(i), tenant="default",
+                priority="interactive",
+                request={"cost": cost, "delay_s": 0.05 * (len(costs) - i)})
+            for i, cost in enumerate(costs)
+        ]
+        driver = LoadDriver(ReverseService(), concurrency=len(costs),
+                            pace=False)
+        result = driver.replay(planned, config(n_requests=len(costs)),
+                               keep_records=True)
+        assert [r.index for r in result.records] == [3, 2, 1, 0]
+        assert result.cost_total == in_order(costs)
 
     def test_keep_records_retains_per_request_rows(self, service):
         driver = LoadDriver(service, pace=False)

@@ -9,14 +9,17 @@ the comparison is exact.
   from the linear-scan flow pool that the heap-ordered
   :class:`~repro.simulation.bandwidth.FlowPool` replaced.
 * ``bdt`` and ``cg`` on the same three workflows, ``minmin_budg`` on
-  them at 100 tasks (its 200-task plan takes ~4 s) and ``heft_budg_plus``
-  at 30 tasks (the refinement loop replans many times). These rows pin
+  them at 100 tasks and ``heft_budg_plus`` at 30 tasks (the refinement
+  loop replans many times). These rows pin
   the schedules themselves: they were recorded before any change to the
   planners' host scan, at infinite capacity only.
 * ``maxmin_budg`` and ``sufferage_budg`` on the same three workflows at
   60 tasks, infinite capacity only, recorded before their selection loop
   was shared with ``minmin_budg``. On montage-60 the two pick the same
   schedule.
+* ``minmin_budg`` on the same three workflows at 200 tasks as well (keys
+  that name their size), infinite capacity only, recorded before the
+  batch-mode loop cached its host evaluations per (task, host).
 
 * **Infinite datacenter capacity** (the paper's main model) must match
   exactly. A transfer there finishes at ``start + size/bw`` (Eq. 7) and no
@@ -54,7 +57,7 @@ REPLICATION_SEED = 2018
 N_SEEDS = 3
 DC_CAPACITY = 20e6
 
-#: (algorithm, family) -> capacity -> rows of
+#: (algorithm, family[, n_tasks]) -> capacity -> rows of
 #: (makespan hex, cost hex, n_vms, within_budget)
 GOLDEN = {
     ("heft_budg", "montage"): {
@@ -177,6 +180,27 @@ GOLDEN = {
             ("0x1.5a183d8d1ba78p+9", "0x1.0d9acc1599a5bp+1", 49, True),
         ],
     },
+    ("minmin_budg", "montage", 200): {
+        math.inf: [
+            ("0x1.4bce131fa3f1ap+11", "0x1.2a16d8bbe0c1ep+2", 65, True),
+            ("0x1.a4a179464401ap+10", "0x1.d823445e41287p+1", 65, True),
+            ("0x1.c9768dbe3e4dep+10", "0x1.cd6bded0acd48p+1", 65, True),
+        ],
+    },
+    ("minmin_budg", "ligo", 200): {
+        math.inf: [
+            ("0x1.1cefabda87411p+13", "0x1.2c8a214c7d37cp+4", 80, True),
+            ("0x1.61daadd4bd764p+13", "0x1.2990538bdda6ep+4", 80, True),
+            ("0x1.1353d5b953503p+13", "0x1.296f7fe29fafcp+4", 80, True),
+        ],
+    },
+    ("minmin_budg", "cybershake", 200): {
+        math.inf: [
+            ("0x1.74ccc90256493p+9", "0x1.10e5342e91d02p+2", 99, True),
+            ("0x1.3b4e14a00083cp+9", "0x1.14045923fa6aap+2", 99, True),
+            ("0x1.37b13ae73ce01p+9", "0x1.121ff72e97649p+2", 99, True),
+        ],
+    },
     ("maxmin_budg", "montage"): {
         math.inf: [
             ("0x1.bf81514ba9084p+10", "0x1.de622edc274fap-1", 18, True),
@@ -222,19 +246,27 @@ GOLDEN = {
 }
 
 
+def n_tasks_of(key):
+    """The workflow size a golden key is planned at."""
+    if len(key) == 3:
+        return key[2]
+    return N_TASKS_OF.get(key[0], N_TASKS)
+
+
 @pytest.fixture(scope="module")
 def targets():
-    """(algorithm, family) -> (workflow, schedule, budget), planned once."""
+    """Golden key -> (workflow, schedule, budget), planned once."""
     workflows, out = {}, {}
-    for algorithm, family in GOLDEN:
-        size = family, N_TASKS_OF.get(algorithm, N_TASKS)
+    for key in GOLDEN:
+        algorithm, family = key[:2]
+        size = family, n_tasks_of(key)
         if size not in workflows:
             wf = generate(*size, rng=WORKFLOW_SEED, sigma_ratio=0.5).freeze()
             workflows[size] = wf, medium_budget(wf, PAPER_PLATFORM)
         wf, budget = workflows[size]
         schedule = make_scheduler(algorithm).schedule(
             wf, PAPER_PLATFORM, budget).schedule
-        out[algorithm, family] = (wf, schedule, budget)
+        out[key] = (wf, schedule, budget)
     return out
 
 
@@ -253,7 +285,9 @@ def expected_rows(key, capacity):
 
 
 def case_id(key):
-    algorithm, family = key
+    algorithm, family = key[:2]
+    if len(key) == 3:
+        return f"{algorithm}-{family}-{key[2]}"
     # the heft_budg cases keep the ids they had as the only algorithm
     return family if algorithm == "heft_budg" else f"{algorithm}-{family}"
 
