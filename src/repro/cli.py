@@ -189,20 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one schedule+simulate with tracing enabled and export a "
         "Perfetto-loadable .trace.json plus a JSONL decision log",
     )
-    trc.add_argument("--workflow", default="montage",
-                     help="workflow generator family")
-    trc.add_argument("--n", type=int, default=50, help="workflow size")
-    trc.add_argument("--algo", default="heft_budg",
-                     help="scheduling algorithm (see /v1/schedulers)")
-    trc.add_argument("--seed", type=int, default=1,
-                     help="workflow generator seed")
-    trc.add_argument("--sigma", type=float, default=0.5,
-                     help="sigma/mean ratio")
-    tgroup = trc.add_mutually_exclusive_group()
-    tgroup.add_argument("--budget", type=float, default=None,
-                        help="absolute budget in dollars")
-    tgroup.add_argument("--position", type=float, default=0.5,
-                        help="budget position on [B_min, B_high] (0..1)")
+    _add_single_run_flags(trc, n_default=50)
     trc.add_argument("--out", default="run.trace.json",
                      help="Chrome trace-event JSON output path "
                      "(open in ui.perfetto.dev)")
@@ -243,20 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sampling profiler over one schedule+simulate run; prints the "
         "top frames and can write collapsed stacks for flamegraphs",
     )
-    prof.add_argument("--workflow", default="montage",
-                      help="workflow generator family")
-    prof.add_argument("--n", type=int, default=90, help="workflow size")
-    prof.add_argument("--algo", default="heft_budg",
-                      help="scheduling algorithm (see /v1/schedulers)")
-    prof.add_argument("--seed", type=int, default=1,
-                      help="workflow generator seed")
-    prof.add_argument("--sigma", type=float, default=0.5,
-                      help="sigma/mean ratio")
-    pgroup = prof.add_mutually_exclusive_group()
-    pgroup.add_argument("--budget", type=float, default=None,
-                        help="absolute budget in dollars")
-    pgroup.add_argument("--position", type=float, default=0.5,
-                        help="budget position on [B_min, B_high] (0..1)")
+    _add_single_run_flags(prof, n_default=90)
     prof.add_argument("--reps", type=int, default=25,
                       help="Monte Carlo replications to profile")
     prof.add_argument("--interval", type=float, default=0.005,
@@ -550,6 +524,42 @@ def _add_logging_flags(parser: argparse.ArgumentParser) -> None:
                         help="emit logs as JSON lines instead of key=value")
 
 
+def _add_single_run_flags(
+    parser: argparse.ArgumentParser, *, n_default: int
+) -> None:
+    """The workflow, algorithm and budget flags of ``trace`` and ``profile``."""
+    parser.add_argument("--workflow", default="montage",
+                        help="workflow generator family")
+    parser.add_argument("--n", type=int, default=n_default,
+                        help="workflow size")
+    parser.add_argument("--algo", default="heft_budg",
+                        help="scheduling algorithm (see /v1/schedulers)")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="workflow generator seed")
+    parser.add_argument("--sigma", type=float, default=0.5,
+                        help="sigma/mean ratio")
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--budget", type=float, default=None,
+                       help="absolute budget in dollars")
+    group.add_argument("--position", type=float, default=0.5,
+                       help="budget position on [B_min, B_high] (0..1)")
+
+
+def _single_run_instance(args: argparse.Namespace):
+    """``(workflow, budget)`` of a ``trace`` or ``profile`` run, from the
+    flags of :func:`_add_single_run_flags`, on the paper's platform."""
+    from .platform.cloud import PAPER_PLATFORM
+    from .service.spec import BudgetSpec
+    from .workflow.generators import generate
+
+    wf = generate(args.workflow, args.n, rng=args.seed, sigma_ratio=args.sigma)
+    budget_spec = (
+        BudgetSpec(amount=args.budget) if args.budget is not None
+        else BudgetSpec(position=args.position)
+    )
+    return wf, budget_spec.resolve(wf, PAPER_PLATFORM)
+
+
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig.smoke() if args.smoke else ExperimentConfig.paper_scale()
     overrides = {}
@@ -626,18 +636,10 @@ def _run_trace(args: argparse.Namespace) -> int:
     from .platform.cloud import PAPER_PLATFORM
     from .rng import as_generator, spawn_seeds
     from .scheduling.registry import make_scheduler
-    from .service.spec import BudgetSpec
     from .simulation.executor import evaluate_schedule
-    from .workflow.generators import generate
 
     try:
-        wf = generate(args.workflow, args.n, rng=args.seed,
-                      sigma_ratio=args.sigma)
-        budget_spec = (
-            BudgetSpec(amount=args.budget) if args.budget is not None
-            else BudgetSpec(position=args.position)
-        )
-        budget = budget_spec.resolve(wf, PAPER_PLATFORM)
+        wf, budget = _single_run_instance(args)
         tracer = Tracer()
         with use_tracer(tracer):
             with tracer.span("trace.session", workflow=args.workflow,
@@ -786,18 +788,10 @@ def _run_profile(args: argparse.Namespace) -> int:
     from .platform.cloud import PAPER_PLATFORM
     from .rng import as_generator, spawn_seeds
     from .scheduling.registry import make_scheduler
-    from .service.spec import BudgetSpec
     from .simulation.executor import run_replications
-    from .workflow.generators import generate
 
     try:
-        wf = generate(args.workflow, args.n, rng=args.seed,
-                      sigma_ratio=args.sigma)
-        budget_spec = (
-            BudgetSpec(amount=args.budget) if args.budget is not None
-            else BudgetSpec(position=args.position)
-        )
-        budget = budget_spec.resolve(wf, PAPER_PLATFORM)
+        wf, budget = _single_run_instance(args)
         profiler = SamplingProfiler(interval_s=args.interval)
         with profiler:
             result = make_scheduler(args.algo).schedule(

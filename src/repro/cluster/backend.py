@@ -1,12 +1,14 @@
 """Backend selection: one ``workers`` knob for serial / process / cluster.
 
-Every fan-out entry point (``run_point``, ``run_sweep``,
-``resilience_sweep``, ``spot_resilience_sweep``, the service executor,
-the CLI ``--workers`` flags) accepts the same knob. The experiment
-layer builds its pools in three places: the shard step
+The experiment fan-out entry points (``run_point``, ``run_sweep``,
+``resilience_sweep``, ``spot_resilience_sweep`` and their CLI
+``--workers`` flags) accept the same knob. The experiment layer builds
+its pools in three places: the shard step
 :func:`~repro.experiments.runner.replicate` (behind ``run_point`` and
 ``repro-exp trace``), ``run_sweep``'s point map, and the resilience
-sweeps' shared cell map. The service builds its own. The knob is:
+sweeps' shared cell map. The service does not take this knob: it picks
+its backend with ``executor`` (``thread``/``process``/``cluster``) plus
+``nodes`` and builds its own pool. The knob is:
 
 * an **integer** (or numeric string) — ``0``/``1`` serial, ``N`` a local
   :class:`~repro.parallel.WorkerPool` of ``N`` processes, negative all

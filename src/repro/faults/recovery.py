@@ -23,8 +23,13 @@ re-execution baseline — every failed task moves to one fresh VM of the same
 category per crashed VM, preserving per-queue order. :class:`RemapRecovery`
 is the budget-aware variant: it re-runs the paper's Algorithm 2
 (``getBestHost``) over the failed tasks, seeded with the committed timeline
-of the surviving VMs and allowances redistributed from the *unspent* budget
-(mirroring :mod:`repro.scheduling.online`).
+of the surviving VMs and allowances redistributed from the *unspent* budget.
+It seeds the planner through the same API as on-line rescheduling
+(:mod:`repro.scheduling.online`):
+:meth:`~repro.scheduling.planning.PlanningState.enroll` for each surviving
+VM, :meth:`~repro.scheduling.planning.PlanningState.pin` for each finished
+task, and :meth:`~repro.scheduling.planning.PlanningState.committed_cost`
+for the money already spent.
 
 Recovered schedules keep the original VM ids for every surviving VM (fresh
 VMs get ids above every existing one) so that plan entries keyed by VM id —
@@ -56,12 +61,6 @@ __all__ = [
     "make_policy",
     "crashed_vms",
 ]
-
-#: Base of the sentinel planner ids used for tasks that completed on a VM
-#: which later crashed: the VM is gone, so the planner must treat their
-#: outputs as datacenter-resident, never as host-local.
-_DEAD_VM_SENTINEL = -1000
-
 
 def crashed_vms(result: SimulationResult) -> Dict[int, float]:
     """``vm_id -> crash instant`` for every VM that died during ``result``."""
@@ -248,58 +247,32 @@ class RemapRecovery(RecoveryPolicy):
 
         # --- seed the planner with the committed (observed) timeline -----
         state = PlanningState(wf, planning_platform)
-        real_of: Dict[int, int] = {}     # planner vm id -> schedule vm id
-        planner_of: Dict[int, int] = {}  # schedule vm id -> planner vm id
+        real_of: Dict[int, int] = {}  # planner vm id -> schedule vm id
+        planner_of: Dict[int, PlannedVM] = {}  # schedule vm id -> planner VM
         for old_id in sorted(vm_records):
             rec = vm_records[old_id]
             if rec.crashed_at is not None:
                 continue  # dead VMs are not candidate hosts
-            category = schedule.categories[old_id]
-            pid = len(state.vms)
-            state.vms.append(
-                PlannedVM(
-                    vm_id=pid,
-                    category=category,
-                    booked_at=rec.booked_at,
-                    ready_time=rec.ready_at,
-                    core_free=[rec.ready_at] * category.cores,
-                    window_end=rec.ready_at,
-                    last_dispatch=rec.ready_at,
-                )
+            vm = state.enroll(
+                schedule.categories[old_id], rec.booked_at, rec.ready_at
             )
-            planner_of[old_id] = pid
-            real_of[pid] = old_id
+            planner_of[old_id] = vm
+            real_of[vm.vm_id] = old_id
 
         for tid in schedule.order:
             if tid in failed or tid in blocked:
                 continue
             rec = attempt.tasks[tid]
-            finish = rec.compute_end
-            old_vm = schedule.assignment[tid]
-            pid = planner_of.get(old_vm)
-            if pid is not None:
-                vm = state.vms[pid]
-                state.assignment[tid] = pid
-                vm.tasks.append(tid)
-                vm.compute_free = max(vm.compute_free, finish)
-                vm.window_end = max(vm.window_end, rec.outputs_at_dc, finish)
-            else:
-                # Completed on a VM that later crashed: the work is durable
-                # (outputs reached the datacenter) but the host is gone. A
-                # unique negative sentinel keeps the planner from treating
-                # its data as local to any live host.
-                state.assignment[tid] = _DEAD_VM_SENTINEL - old_vm
-            state.order.append(tid)
-            state.finish[tid] = finish
+            # A task done on a VM that later crashed is durable (its outputs
+            # reached the datacenter) but its host is gone: no VM is given.
+            state.pin(
+                tid, planner_of.get(schedule.assignment[tid]),
+                rec.compute_end, max(rec.outputs_at_dc, rec.compute_end),
+            )
 
         # Money already sunk: live VMs' committed windows plus every crashed
         # VM's billed window (paid whether or not its tasks survived).
-        committed = sum(
-            (vm.window_end - vm.ready_time) * vm.category.cost_rate
-            + vm.category.initial_cost
-            for vm in state.vms
-        )
-        committed += sum(
+        committed = state.committed_cost() + sum(
             spot_vm_cost(vm_records[v].category, platform.spot_market,
                          vm_records[v].ready_at, vm_records[v].end_at)
             for v in fired
@@ -319,19 +292,16 @@ class RemapRecovery(RecoveryPolicy):
         pot = 0.0
         for tid in pending:
             if tid in blocked:
-                # Containment: the task's own VM is fine — keep it there.
+                # Containment: the task's own VM is fine — keep it there. A
+                # VM never provisioned (its whole queue was gated behind
+                # the crash) is enrolled afresh.
                 old_vm = schedule.assignment[tid]
-                pid = planner_of.get(old_vm)
-                if pid is not None:
-                    vm_obj = state.vms[pid]
-                    ev = state.evaluate(tid, vm_obj, vm_obj.category)
-                else:
-                    # The VM was never provisioned (its whole queue was
-                    # gated behind the crash); enroll it afresh.
-                    ev = state.evaluate(tid, None, schedule.categories[old_vm])
+                ev = state.evaluate(
+                    tid, planner_of.get(old_vm), schedule.categories[old_vm]
+                )
                 committed_vm = state.commit(ev)
                 if committed_vm.vm_id not in real_of:
-                    planner_of[old_vm] = committed_vm.vm_id
+                    planner_of[old_vm] = committed_vm
                     real_of[committed_vm.vm_id] = old_vm
             else:
                 allowance = bplan.share(tid) * scale + pot
@@ -346,11 +316,10 @@ class RemapRecovery(RecoveryPolicy):
         assignment: Dict[str, int] = {}
         for tid in schedule.order:
             pid = state.assignment[tid]
-            if pid >= 0:
-                assignment[tid] = real_of[pid]
-            else:
-                # Done on a crashed VM: keep the historical assignment.
-                assignment[tid] = schedule.assignment[tid]
+            # Done on a crashed VM: keep the historical assignment.
+            assignment[tid] = (
+                schedule.assignment[tid] if pid is None else real_of[pid]
+            )
         used = set(assignment.values())
         categories = {real_of[vm.vm_id]: vm.category for vm in state.vms}
         for vm_id in used - set(categories):

@@ -93,7 +93,6 @@ class CgScheduler(Scheduler):
             gb = min(max((budget - c_min) / span, 0.0), 1.0)
 
         state = PlanningState(wf, platform)
-        within = True
         for tid in heft_order(wf, platform.mean_speed, platform.bandwidth):
             # Category whose cost is closest to the task's target spend.
             costs = {
@@ -138,18 +137,9 @@ class CgScheduler(Scheduler):
             state.commit(best)
 
         schedule = state.to_schedule()
-        evaluation = evaluate_schedule(wf, platform, schedule)
-        if budget != math.inf and evaluation.total_cost > budget:
-            within = False
-        return SchedulerResult(
-            schedule=schedule,
-            planned_makespan=evaluation.makespan,
-            planned_vm_cost=evaluation.cost.vm_rental,
-            within_budget_plan=within,
-            algorithm=self.name,
-            leftover_pot=max(budget - evaluation.total_cost, 0.0)
-            if budget != math.inf
-            else 0.0,
+        return SchedulerResult.simulated(
+            schedule, evaluate_schedule(wf, platform, schedule), budget,
+            self.name,
         )
 
 
@@ -221,16 +211,7 @@ class CgPlusScheduler(Scheduler):
                 break
             current, result = move
 
-        return SchedulerResult(
-            schedule=current,
-            planned_makespan=result.makespan,
-            planned_vm_cost=result.cost.vm_rental,
-            within_budget_plan=(budget == math.inf or result.total_cost <= budget),
-            algorithm=self.name,
-            leftover_pot=max(budget - result.total_cost, 0.0)
-            if budget != math.inf
-            else 0.0,
-        )
+        return SchedulerResult.simulated(current, result, budget, self.name)
 
     @staticmethod
     def _best_move(
@@ -245,15 +226,7 @@ class CgPlusScheduler(Scheduler):
         best_ratio = 0.0
         best: Optional[Tuple[Schedule, SimulationResult]] = None
         for tid in critical:
-            current_vm = current.vm_of(tid)
-            options: List[Tuple[int, VMCategory]] = [
-                (vm_id, current.categories[vm_id])
-                for vm_id in current.used_vms
-                if vm_id != current_vm
-            ]
-            fresh = current.fresh_vm_id()
-            options.extend((fresh, cat) for cat in platform.categories)
-            for vm_id, category in options:
+            for vm_id, category in current.moves(tid, platform.categories):
                 candidate = current.reassigned(tid, vm_id, category)
                 cand_result = evaluate_schedule(wf, platform, candidate)
                 delta_t = result.makespan - cand_result.makespan

@@ -69,7 +69,6 @@ class HeftBudgScheduler(Scheduler):
                     pot = allowance - ev.cost
                 if not within:
                     all_within = False
-                    pot = min(pot, 0.0)  # overruns cannot seed future leftovers
             span.set(
                 n_vms=len(state.vms), within_budget=all_within,
                 leftover_pot=max(pot, 0.0),

@@ -17,7 +17,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import List, Tuple, Type
+from typing import TYPE_CHECKING, List, Tuple, Type
 
 from ..errors import SchedulingError
 from ..obs.tracing import DecisionRecord, get_tracer
@@ -25,6 +25,9 @@ from ..platform.cloud import CloudPlatform
 from ..workflow.dag import Workflow
 from .planning import HostEvaluation, PlanningState
 from .schedule import Schedule
+
+if TYPE_CHECKING:
+    from ..simulation.trace import SimulationResult
 
 __all__ = ["get_best_host", "select_host", "Scheduler", "SchedulerResult"]
 
@@ -133,6 +136,29 @@ class SchedulerResult:
     within_budget_plan: bool
     algorithm: str
     leftover_pot: float = 0.0
+
+    @classmethod
+    def simulated(
+        cls,
+        schedule: Schedule,
+        run: "SimulationResult",
+        budget: float,
+        algorithm: str,
+    ) -> "SchedulerResult":
+        """The result of a planner that judges ``schedule`` by its simulated
+        ``run`` (CG, CG+, HEFTBUDG+): the run's makespan and rental, within
+        budget when its total cost fits, and the unspent budget as leftover
+        (none under an unlimited budget)."""
+        return cls(
+            schedule=schedule,
+            planned_makespan=run.makespan,
+            planned_vm_cost=run.cost.vm_rental,
+            within_budget_plan=run.total_cost <= budget,
+            algorithm=algorithm,
+            leftover_pot=max(budget - run.total_cost, 0.0)
+            if budget != math.inf
+            else 0.0,
+        )
 
 
 class Scheduler(ABC):

@@ -39,7 +39,7 @@ from ..workflow.dag import Workflow
 from .budget import divide_budget
 from .heft import HeftBudgScheduler
 from .list_base import get_best_host
-from .planning import PlannedVM, PlanningState
+from .planning import PlanningState
 from .schedule import Schedule
 
 __all__ = ["OnlineRunResult", "OnlineHeftBudg"]
@@ -206,28 +206,16 @@ class OnlineHeftBudg:
         # the detection instant get an estimated finish (the monitor cannot
         # know their true end): detection + planned duration.
         state = PlanningState(wf, platform)
-        vm_ids = sorted({schedule.vm_of(t) for t in frozen})
-        id_map: Dict[int, int] = {}
         vm_records = {vm.vm_id: vm for vm in run.vms}
-        for new_id, old_id in enumerate(vm_ids):
-            id_map[old_id] = new_id
-            rec = vm_records[old_id]
-            category = schedule.categories[old_id]
-            state.vms.append(
-                PlannedVM(
-                    vm_id=new_id,
-                    category=category,
-                    booked_at=rec.booked_at,
-                    ready_time=rec.ready_at,
-                    core_free=[rec.ready_at] * category.cores,
-                    window_end=rec.ready_at,
-                    last_dispatch=rec.ready_at,
-                )
+        planned_vm = {
+            old_id: state.enroll(
+                schedule.categories[old_id],
+                vm_records[old_id].booked_at, vm_records[old_id].ready_at,
             )
-        committed_cost = 0.0
+            for old_id in sorted({schedule.vm_of(t) for t in frozen})
+        }
         for tid in frozen:
             rec = run.tasks[tid]
-            vm = state.vms[id_map[rec.vm_id]]
             if rec.compute_end <= detection:
                 finish = rec.compute_end
                 window = max(rec.outputs_at_dc, rec.compute_end)
@@ -236,23 +224,13 @@ class OnlineHeftBudg:
                 window = finish + (
                     wf.output_data_of(tid) + wf.task(tid).external_output
                 ) / platform.bandwidth
-            state.assignment[tid] = vm.vm_id
-            state.order.append(tid)
-            state.finish[tid] = finish
-            vm.tasks.append(tid)
-            vm.compute_free = max(vm.compute_free, finish)
-            vm.window_end = max(vm.window_end, window)
-        for vm in state.vms:
-            committed_cost += (
-                (vm.window_end - vm.ready_time) * vm.category.cost_rate
-                + vm.category.initial_cost
-            )
+            state.pin(tid, planned_vm[rec.vm_id], finish, window)
 
         # Redistribute the unspent budget over the remaining tasks.
-        leftover = max(budget - committed_cost, 0.0)
+        leftover = max(budget - state.committed_cost(), 0.0)
         plan = divide_budget(wf, platform, leftover)
         remaining_total = sum(plan.share(t) for t in remaining) or 1.0
-        scale = plan.b_calc / remaining_total if remaining_total else 0.0
+        scale = plan.b_calc / remaining_total
 
         pot = 0.0
         for tid in remaining:
@@ -261,10 +239,8 @@ class OnlineHeftBudg:
             state.commit(ev)
             pot = allowance - ev.cost
 
-        new_assignment = dict(state.assignment)
-        new_categories = {vm.vm_id: vm.category for vm in state.vms}
         return Schedule(
             order=list(schedule.order),
-            assignment=new_assignment,
-            categories=new_categories,
+            assignment=dict(state.assignment),
+            categories={vm.vm_id: vm.category for vm in state.vms},
         )

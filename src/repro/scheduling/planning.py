@@ -90,12 +90,6 @@ class PlannedVM:
         """Earliest instant any core is idle."""
         return min(self.core_free)
 
-    @compute_free.setter
-    def compute_free(self, value: float) -> None:
-        """Single-core convenience used by seeding code (e.g. online.py)."""
-        earliest = min(range(len(self.core_free)), key=self.core_free.__getitem__)
-        self.core_free[earliest] = value
-
 
 class PlanningState:
     """Mutable planner state: enrolled VMs + per-task timelines.
@@ -107,6 +101,11 @@ class PlanningState:
             best = min(state.evaluate_all(tid), key=...)
             state.commit(best)
         schedule = state.to_schedule()
+
+    Re-planners that resume from an observed run (online rescheduling,
+    remap recovery) seed it first: :meth:`enroll` the VMs still running,
+    :meth:`pin` the tasks already done or under way, and read
+    :meth:`committed_cost` before dividing the unspent budget.
     """
 
     def __init__(
@@ -120,7 +119,7 @@ class PlanningState:
         self.platform = platform
         self.use_conservative = use_conservative
         self.vms: List[PlannedVM] = []
-        self.assignment: Dict[str, int] = {}
+        self.assignment: Dict[str, Optional[int]] = {}
         self.order: List[str] = []
         self.finish: Dict[str, float] = {}
 
@@ -269,35 +268,73 @@ class PlanningState:
         if ev.tid in self.assignment:
             raise SchedulingError(f"task {ev.tid!r} committed twice")
         if ev.is_new_vm:
-            cores = [ev.window_start] * ev.category.cores
-            cores[0] = ev.eft
-            vm = PlannedVM(
-                vm_id=len(self.vms),
-                category=ev.category,
-                booked_at=ev.t_begin,
-                ready_time=ev.window_start,
-                core_free=cores,
-                window_end=ev.window_end,
-                last_dispatch=ev.download_start,
-            )
-            self.vms.append(vm)
+            vm = self.enroll(ev.category, ev.t_begin, ev.window_start)
         else:
             vm = self.vms[ev.vm_id]  # type: ignore[index]
             if min(vm.core_free) > ev.t_begin + 1e-9:
                 raise SchedulingError(
                     f"stale evaluation for {ev.tid!r}: VM {vm.vm_id} moved on"
                 )
-            earliest = min(
-                range(len(vm.core_free)), key=vm.core_free.__getitem__
-            )
-            vm.core_free[earliest] = ev.eft
-            vm.last_dispatch = max(vm.last_dispatch, ev.download_start)
-            vm.window_end = ev.window_end
+        earliest = min(range(len(vm.core_free)), key=vm.core_free.__getitem__)
+        vm.core_free[earliest] = ev.eft
+        vm.last_dispatch = max(vm.last_dispatch, ev.download_start)
+        vm.window_end = ev.window_end
         vm.tasks.append(ev.tid)
         self.assignment[ev.tid] = vm.vm_id
         self.order.append(ev.tid)
         self.finish[ev.tid] = ev.eft
         return vm
+
+    # ------------------------------------------------------------------
+    def enroll(
+        self, category: VMCategory, booked_at: float, ready_at: float
+    ) -> PlannedVM:
+        """Add a VM booked at ``booked_at`` and idle from ``ready_at`` on
+        (fresh, or already running when seeding); returns it."""
+        vm = PlannedVM(
+            vm_id=len(self.vms),
+            category=category,
+            booked_at=booked_at,
+            ready_time=ready_at,
+            core_free=[ready_at] * category.cores,
+            window_end=ready_at,
+            last_dispatch=ready_at,
+        )
+        self.vms.append(vm)
+        return vm
+
+    def pin(
+        self,
+        tid: str,
+        vm: Optional[PlannedVM],
+        finish: float,
+        window_end: float,
+    ) -> None:
+        """Record an observed task: it computes until ``finish`` on ``vm``,
+        whose billed window then lasts at least to ``window_end``.
+
+        ``vm=None`` means the task finished on a host that is gone: its
+        outputs are at the datacenter, local to no candidate host.
+        """
+        if vm is not None:
+            earliest = min(
+                range(len(vm.core_free)), key=vm.core_free.__getitem__
+            )
+            vm.core_free[earliest] = max(vm.core_free[earliest], finish)
+            vm.window_end = max(vm.window_end, window_end)
+            vm.tasks.append(tid)
+        self.assignment[tid] = vm.vm_id if vm is not None else None
+        self.order.append(tid)
+        self.finish[tid] = finish
+
+    def committed_cost(self) -> float:
+        """Dollars committed so far: every VM's rental window plus its
+        setup fee."""
+        return sum(
+            (vm.window_end - vm.ready_time) * vm.category.cost_rate
+            + vm.category.initial_cost
+            for vm in self.vms
+        )
 
     # ------------------------------------------------------------------
     @property

@@ -63,29 +63,14 @@ def refine_schedule(
             current_vm = current.vm_of(tid)
             best_candidate: Optional[Schedule] = None
             best_vm: Optional[int] = None
-            # Try every other used VM...
-            for vm_id in current.used_vms:
-                if vm_id == current_vm:
-                    continue
-                candidate = current.reassigned(
-                    tid, vm_id, current.categories[vm_id]
-                )
+            for vm_id, category in current.moves(tid, platform.categories):
+                candidate = current.reassigned(tid, vm_id, category)
                 n_evaluated += 1
                 makespan = _accept(wf, platform, candidate, budget, best_makespan)
                 if makespan is not None:
                     best_makespan = makespan
                     best_candidate = candidate
                     best_vm = vm_id
-            # ... and a fresh VM of each category.
-            fresh_id = current.fresh_vm_id()
-            for category in platform.categories:
-                candidate = current.reassigned(tid, fresh_id, category)
-                n_evaluated += 1
-                makespan = _accept(wf, platform, candidate, budget, best_makespan)
-                if makespan is not None:
-                    best_makespan = makespan
-                    best_candidate = candidate
-                    best_vm = fresh_id
             if best_candidate is not None:
                 if tracer.enabled:
                     tracer.decide(
@@ -144,16 +129,8 @@ class HeftBudgPlusScheduler(Scheduler):
         refined = refine_schedule(
             wf, platform, first.schedule, budget, reverse=self._reverse
         )
-        final = evaluate_schedule(wf, platform, refined)
-        return SchedulerResult(
-            schedule=refined,
-            planned_makespan=final.makespan,
-            planned_vm_cost=final.cost.vm_rental,
-            within_budget_plan=final.total_cost <= budget,
-            algorithm=self.name,
-            leftover_pot=max(budget - final.total_cost, 0.0)
-            if budget != float("inf")
-            else 0.0,
+        return SchedulerResult.simulated(
+            refined, evaluate_schedule(wf, platform, refined), budget, self.name
         )
 
 

@@ -13,7 +13,7 @@ implicitly dropped (``update(UsedVM)`` in Algorithm 5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from ..errors import ScheduleValidationError
 from ..platform.vm import VMCategory
@@ -98,6 +98,19 @@ class Schedule:
     def fresh_vm_id(self) -> int:
         """An id not yet used by any VM of this schedule."""
         return max(self.categories, default=-1) + 1
+
+    def moves(
+        self, tid: str, categories: Iterable[VMCategory]
+    ) -> List[Tuple[int, VMCategory]]:
+        """Algorithm 5's move set for ``tid`` as ``(vm id, category)`` pairs:
+        every other used VM, then a fresh VM of each of ``categories``."""
+        here = self.assignment[tid]
+        fresh = self.fresh_vm_id()
+        return [
+            (vm_id, self.categories[vm_id])
+            for vm_id in self.used_vms
+            if vm_id != here
+        ] + [(fresh, category) for category in categories]
 
     # ------------------------------------------------------------------
     def validate(self, wf: Workflow) -> None:

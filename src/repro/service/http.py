@@ -80,6 +80,7 @@ from ..errors import (
 from ..obs.events import JOB_EVENT_TYPES, RUN_RECORDED, EventBus
 from ..obs.logging import configure_logging, get_logger
 from ..obs.prometheus import render_prometheus
+from ..scheduling.registry import available_schedulers
 from .engine import SchedulingService
 from .spec import DEFAULT_PRIORITY, DEFAULT_TENANT, parse_requests
 
@@ -400,7 +401,7 @@ class _Handler(BaseHTTPRequestHandler):
             health = self.service.health()
             return (200 if health["ready"] else 503), health
         if method == "GET" and tail == ["schedulers"]:
-            return 200, {"schedulers": self.service.stats()["schedulers"]}
+            return 200, {"schedulers": available_schedulers()}
         if method == "GET" and tail == ["metrics"]:
             stats = self.service.stats()
             fmt = query.get("format", "json")

@@ -111,6 +111,25 @@ class TestServiceCommands:
         assert args.log_level == "info" and not args.log_json
 
 
+class TestSingleRunFlags:
+    """``trace`` and ``profile`` share their single-run flags; only the
+    default workflow size differs."""
+
+    @pytest.mark.parametrize("cmd,n", [("trace", 50), ("profile", 90)])
+    def test_defaults(self, cmd, n):
+        args = build_parser().parse_args([cmd])
+        assert (args.workflow, args.n, args.algo, args.seed, args.sigma,
+                args.budget, args.position) == (
+                    "montage", n, "heft_budg", 1, 0.5, None, 0.5)
+
+    @pytest.mark.parametrize("cmd", ["trace", "profile"])
+    def test_budget_and_position_are_exclusive(self, cmd, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                [cmd, "--budget", "1.0", "--position", "0.3"])
+        assert "not allowed with" in capsys.readouterr().err
+
+
 class TestTraceCommand:
     def test_trace_defaults(self):
         args = build_parser().parse_args(["trace"])

@@ -54,6 +54,20 @@ class TestInfoEndpoints:
         assert status == 200
         assert "heft_budg" in body["schedulers"]
 
+    def test_schedulers_needs_no_stats_snapshot(self, gateway, monkeypatch):
+        """The registry list must not depend on the operational snapshot
+        (ledger count, SLO and metrics snapshots, job-invariant check)."""
+        from repro.errors import ServiceError
+        from repro.scheduling.registry import available_schedulers
+
+        def broken_stats():
+            raise ServiceError("job state invariant violated")
+
+        monkeypatch.setattr(gateway.service, "stats", broken_stats)
+        status, body = call(gateway, "GET", "/v1/schedulers")
+        assert (status, body) == (
+            200, {"schedulers": available_schedulers()})
+
     def test_metrics(self, gateway):
         status, body = call(gateway, "GET", "/v1/metrics")
         assert status == 200
