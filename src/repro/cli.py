@@ -18,28 +18,29 @@ Examples::
     repro-exp ledger sweep --workers host:9000,host:9001  # cluster sweep
     repro-exp slo --db runs.db                  # offline SLO burn rates
     repro-exp profile --reps 25 --out prof.txt  # sampling profiler
+
+Every command's parser carries its runner (``run=``); :func:`main` parses,
+calls it, and turns any :class:`~repro.errors.ReproError` into one
+``error: …`` line on stderr and exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
+from .errors import ReproError
 from .experiments.config import ExperimentConfig
-from .experiments.figures import (
-    FIGURE_ALGORITHMS,
-    figure1,
-    figure2,
-    figure3,
-    figure4,
-)
+from .experiments.figures import figure1, figure2, figure3, figure4
 from .experiments.report import (
     records_to_csv,
     render_cpu_table,
     render_figure,
 )
 from .experiments.tables import table2_rows, table3a, table3b
+from .obs.ledger import RunLedger, use_ledger
 
 __all__ = ["main", "build_parser"]
 
@@ -49,6 +50,33 @@ _FIGURES = {
     "fig3": (figure3, ("makespan", "valid", "cost")),
     "fig4": (figure4, ("makespan",)),
 }
+
+# command -> (builder, title, variants --refined adds)
+_TABLE3 = {
+    "table3a": (table3a, "Table III(a): CPU time vs budget",
+                ("heft_budg_plus", "heft_budg_plus_inv", "cg_plus")),
+    "table3b": (table3b, "Table III(b): CPU time vs size",
+                ("heft_budg_plus", "heft_budg_plus_inv")),
+}
+
+# sweep-config flag dest -> the ExperimentConfig field it overrides
+_CONFIG_FLAGS = {
+    "tasks": "n_tasks",
+    "instances": "n_instances",
+    "reps": "n_reps",
+    "budgets": "budgets_per_workflow",
+    "sigma": "sigma_ratio",
+    "seed": "seed",
+    "families": "families",
+    "algorithms": "algorithms",
+}
+
+
+def _command(sub, name: str, run, **kwargs) -> argparse.ArgumentParser:
+    """Add sub-command ``name``, dispatched by :func:`main` to ``run``."""
+    parser = sub.add_parser(name, **kwargs)
+    parser.set_defaults(run=run)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,52 +89,44 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name in _FIGURES:
-        p = sub.add_parser(name, help=f"regenerate paper {name}")
-        p.add_argument("--smoke", action="store_true",
-                       help="down-scaled run (seconds instead of minutes)")
-        p.add_argument("--tasks", type=int, default=None,
-                       help="workflow size (paper: 90)")
-        p.add_argument("--instances", type=int, default=None,
-                       help="instances per family (paper: 5)")
-        p.add_argument("--reps", type=int, default=None,
-                       help="stochastic repetitions per point (paper: 25)")
-        p.add_argument("--budgets", type=int, default=None,
-                       help="budget grid points per workflow")
-        p.add_argument("--sigma", type=float, default=None,
-                       help="sigma/mean ratio (paper: 0.25..1.0)")
-        p.add_argument("--seed", type=int, default=None)
+        p = _command(sub, name, _run_figure, help=f"regenerate paper {name}")
+        _add_sweep_config_flags(p)
         p.add_argument("--csv", type=str, default=None,
                        help="also dump raw run records to this CSV file")
         p.add_argument("--ledger", type=str, default=None,
                        help="archive every sweep point into this SQLite "
                        "run ledger")
 
-    t2 = sub.add_parser("table2", help="print the platform constants")
+    _command(sub, "table2", _run_table2, help="print the platform constants")
 
-    sigma = sub.add_parser(
-        "sigma", help="sigma-impact study (§V-B / extended version)"
+    sigma = _command(
+        sub, "sigma", _run_sigma,
+        help="sigma-impact study (§V-B / extended version)",
     )
     sigma.add_argument("--tasks", type=int, default=90)
     sigma.add_argument("--reps", type=int, default=25)
     sigma.add_argument("--position", type=float, default=0.4,
                        help="budget position on [B_min, B_high] (0..1)")
 
-    frontier = sub.add_parser(
-        "frontier", help="minimal budget to match the baseline makespan"
+    frontier = _command(
+        sub, "frontier", _run_frontier,
+        help="minimal budget to match the baseline makespan",
     )
     frontier.add_argument("--sizes", type=int, nargs="+", default=[30, 60, 90])
 
-    for name in ("table3a", "table3b"):
-        p = sub.add_parser(name, help=f"regenerate paper {name}")
+    for name in _TABLE3:
+        p = _command(sub, name, _run_table3, help=f"regenerate paper {name}")
         p.add_argument("--repeats", type=int, default=3,
                        help="scheduling timing repetitions")
-        p.add_argument("--tasks", type=int, default=90,
-                       help="workflow size for table3a")
+        if name == "table3a":
+            p.add_argument("--tasks", type=int, default=90,
+                           help="workflow size for table3a")
         p.add_argument("--refined", action="store_true",
                        help="include the (slow) refined variants")
 
-    srv = sub.add_parser(
-        "serve", help="run the scheduling service HTTP gateway"
+    srv = _command(
+        sub, "serve", _run_serve,
+        help="run the scheduling service HTTP gateway",
     )
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=8080)
@@ -143,8 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
                      "under the permissive default tenant")
     _add_logging_flags(srv)
 
-    wrk = sub.add_parser(
-        "worker",
+    wrk = _command(
+        sub, "worker", _run_worker,
         help="run a long-lived cluster worker node (see docs/CLUSTER.md)",
     )
     wrk.add_argument("--listen", type=str, default="127.0.0.1:0",
@@ -159,8 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
     wrk.add_argument("--token", type=str, default=None,
                      help="shared handshake token (coordinators must match)")
 
-    sch = sub.add_parser(
-        "schedule", help="one-shot scheduling request, JSON response on stdout"
+    sch = _command(
+        sub, "schedule", _run_schedule,
+        help="one-shot scheduling request, JSON response on stdout",
     )
     sch.add_argument("--request", type=str, default=None,
                      help="path to a JSON request file ('-' for stdin); "
@@ -173,19 +194,15 @@ def build_parser() -> argparse.ArgumentParser:
     sch.add_argument("--sigma", type=float, default=0.5,
                      help="sigma/mean ratio")
     sch.add_argument("--algorithm", default="heft_budg")
-    group = sch.add_mutually_exclusive_group()
-    group.add_argument("--budget", type=float, default=None,
-                       help="absolute budget in dollars")
-    group.add_argument("--position", type=float, default=0.5,
-                       help="budget position on [B_min, B_high] (0..1)")
+    _add_budget_flags(sch)
     sch.add_argument("--reps", type=int, default=0,
                      help="stochastic evaluation repetitions")
     sch.add_argument("--no-schedule-payload", action="store_true",
                      help="omit the full schedule dict from the output")
     _add_logging_flags(sch)
 
-    trc = sub.add_parser(
-        "trace",
+    trc = _command(
+        sub, "trace", _run_trace,
         help="run one schedule+simulate with tracing enabled and export a "
         "Perfetto-loadable .trace.json plus a JSONL decision log",
     )
@@ -207,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="Monte Carlo replications for the parallel phase "
                      "(only with --workers > 0)")
 
-    slo = sub.add_parser(
-        "slo",
+    slo = _command(
+        sub, "slo", _run_slo,
         help="SLO report: per-stage streaming percentiles and multi-window "
         "burn rates, from a live service (--url) or a run ledger (--db)",
     )
@@ -225,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     slo.add_argument("--json", action="store_true",
                      help="emit the raw report as JSON instead of tables")
 
-    prof = sub.add_parser(
-        "profile",
+    prof = _command(
+        sub, "profile", _run_profile,
         help="sampling profiler over one schedule+simulate run; prints the "
         "top frames and can write collapsed stacks for flamegraphs",
     )
@@ -241,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write collapsed stacks (flamegraph.pl / "
                       "speedscope input) to this path")
 
-    flt = sub.add_parser(
-        "faults",
+    flt = _command(
+        sub, "faults", _run_faults,
         help="resilience sweep: crash rates x recovery policies, success "
         "and budget-safety per cell",
     )
@@ -286,10 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     flt.add_argument("--ledger", type=str, default=None,
                      help="archive every run into this SQLite run ledger "
                      "(source='faults')")
-    flt.add_argument("--workers", type=str, default="0",
-                     help="worker processes for the sweep cells, or a "
-                     "'host:port,host:port' cluster node list (0 = serial; "
-                     "results are bit-identical either way)")
+    _add_node_workers_flag(flt)
 
     led = sub.add_parser(
         "ledger",
@@ -297,33 +311,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lsub = led.add_subparsers(dest="ledger_command", required=True)
 
-    def _db_flag(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--db", default="runs.db",
-                       help="ledger SQLite file (default: runs.db)")
-
-    l_sweep = lsub.add_parser(
-        "sweep", help="run an experiment sweep, archiving every point"
+    l_sweep = _command(
+        lsub, "sweep", _run_ledger_sweep,
+        help="run an experiment sweep, archiving every point",
     )
-    _db_flag(l_sweep)
-    l_sweep.add_argument("--smoke", action="store_true",
-                         help="down-scaled run (seconds instead of minutes)")
-    l_sweep.add_argument("--tasks", type=int, default=None)
-    l_sweep.add_argument("--instances", type=int, default=None)
-    l_sweep.add_argument("--reps", type=int, default=None)
-    l_sweep.add_argument("--budgets", type=int, default=None)
-    l_sweep.add_argument("--sigma", type=float, default=None)
-    l_sweep.add_argument("--seed", type=int, default=None)
+    _add_db_flag(l_sweep)
+    _add_sweep_config_flags(l_sweep)
     l_sweep.add_argument("--families", nargs="+", default=None,
                          help="workflow families (default: config's)")
     l_sweep.add_argument("--algorithms", nargs="+", default=None,
                          help="algorithms (default: config's)")
-    l_sweep.add_argument("--workers", type=str, default="0",
-                         help="worker processes for the sweep points, or a "
-                         "'host:port,host:port' cluster node list (0 = "
-                         "serial; results are bit-identical either way)")
+    _add_node_workers_flag(l_sweep)
 
-    l_list = lsub.add_parser("list", help="newest archived runs")
-    _db_flag(l_list)
+    l_list = _command(lsub, "list", _run_ledger_list,
+                      help="newest archived runs")
+    _add_db_flag(l_list)
     l_list.add_argument("--algorithm", default=None)
     l_list.add_argument("--workflow", default=None,
                         help="workflow name or family")
@@ -334,33 +336,35 @@ def build_parser() -> argparse.ArgumentParser:
     l_list.add_argument("--csv", type=str, default=None,
                         help="write the rows as CSV instead of a table")
 
-    l_show = lsub.add_parser("show", help="one archived run, as JSON")
-    _db_flag(l_show)
+    l_show = _command(lsub, "show", _run_ledger_show,
+                      help="one archived run, as JSON")
+    _add_db_flag(l_show)
     l_show.add_argument("run_id", type=int)
 
-    l_cmp = lsub.add_parser(
-        "compare", help="per family/n_tasks/algorithm group means"
+    l_cmp = _command(
+        lsub, "compare", _run_ledger_compare,
+        help="per family/n_tasks/algorithm group means",
     )
-    _db_flag(l_cmp)
+    _add_db_flag(l_cmp)
     l_cmp.add_argument("--latest", type=int, default=0,
                        help="only each group's newest N runs (0 = all)")
 
-    l_base = lsub.add_parser(
-        "baseline",
+    l_base = _command(
+        lsub, "baseline", _run_ledger_baseline,
         help="fold the ledger into a BENCH-style ledger_baseline JSON",
     )
-    _db_flag(l_base)
+    _add_db_flag(l_base)
     l_base.add_argument("--latest", type=int, default=0,
                         help="only each group's newest N runs (0 = all)")
     l_base.add_argument("--out", type=str, default=None,
                         help="write to this file instead of stdout")
 
-    l_reg = lsub.add_parser(
-        "regress",
+    l_reg = _command(
+        lsub, "regress", _run_ledger_regress,
         help="compare the ledger against a BENCH_*.json baseline; "
         "exit 1 on regression, 2 on no data",
     )
-    _db_flag(l_reg)
+    _add_db_flag(l_reg)
     l_reg.add_argument("--baseline", required=True,
                        help="BENCH_*.json file with a ledger_baseline key")
     l_reg.add_argument("--threshold", type=float, default=0.10,
@@ -386,21 +390,22 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fractional p99 latency growth tolerated for "
                        "load_baseline groups (default: 0.25)")
 
-    l_prune = lsub.add_parser(
-        "prune", help="delete old ledger rows to keep the database bounded"
+    l_prune = _command(
+        lsub, "prune", _run_ledger_prune,
+        help="delete old ledger rows to keep the database bounded",
     )
-    _db_flag(l_prune)
+    _add_db_flag(l_prune)
     l_prune.add_argument("--max-rows", type=int, default=None,
                          help="keep only the newest N rows of each table")
     l_prune.add_argument("--max-age-days", type=float, default=None,
                          help="drop rows older than this many days")
 
-    l_est = lsub.add_parser(
-        "estimate-error",
+    l_est = _command(
+        lsub, "estimate-error", _run_ledger_estimate_error,
         help="summarize pre-admission estimate accuracy per algorithm "
         "(needs rows recorded by an admission-enabled service)",
     )
-    _db_flag(l_est)
+    _add_db_flag(l_est)
     l_est.add_argument("--limit", type=int, default=0,
                        help="scan only the newest N rows (default: all)")
     l_est.add_argument("--json", action="store_true",
@@ -412,49 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ldsub = ld.add_subparsers(dest="load_command", required=True)
 
-    def _arrival_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--process", default="poisson",
-                       choices=("poisson", "mmpp", "trace"),
-                       help="arrival process (default: poisson)")
-        p.add_argument("--rate", type=float, default=50.0,
-                       help="long-run offered rate, requests/s (default: 50)")
-        p.add_argument("--requests", type=int, default=1000,
-                       help="total planned requests (default: 1000)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="sequence seed — same seed, same sequence")
-        p.add_argument("--burstiness", type=float, default=4.0,
-                       help="mmpp burst:calm rate ratio (default: 4)")
-        p.add_argument("--mean-burst-s", type=float, default=2.0,
-                       help="mmpp mean burst dwell (default: 2s)")
-        p.add_argument("--mean-calm-s", type=float, default=8.0,
-                       help="mmpp mean calm dwell (default: 8s)")
-        p.add_argument("--batch-tail-alpha", type=float, default=0.0,
-                       help="Pareto tail for batched arrivals "
-                       "(0 disables; smaller = heavier tail)")
-        p.add_argument("--trace-file", default=None,
-                       help="arrival offsets file for --process trace")
-        p.add_argument("--families", nargs="+", default=["montage", "ligo"],
-                       help="workflow families in the spec pool")
-        p.add_argument("--n-tasks", nargs="+", type=int, default=[15],
-                       help="workflow sizes in the spec pool")
-        p.add_argument("--algorithms", nargs="+", default=["heft_budg"],
-                       help="algorithms in the spec pool")
-        p.add_argument("--budgets", nargs="+", type=float, default=[2.0],
-                       help="budget positions in the spec pool")
-        p.add_argument("--spec-seeds", type=int, default=3,
-                       help="workflow RNG seeds per pool entry (default: 3)")
-        p.add_argument("--reps", type=int, default=2,
-                       help="Monte-Carlo reps per request (default: 2)")
-        p.add_argument("--tenants", default=None,
-                       help="weighted tenant mix, 'name=w,name=w' "
-                       "(default: one 'default' tenant)")
-        p.add_argument("--priorities", default=None,
-                       help="weighted priority mix, 'name=w,name=w'")
-
-    l_run = ldsub.add_parser(
-        "run", help="replay a seeded workload and archive the load_run"
+    l_run = _command(
+        ldsub, "run", _run_load_run,
+        help="replay a seeded workload and archive the load_run",
     )
-    _arrival_flags(l_run)
+    _add_arrival_flags(l_run)
     l_run.add_argument("--target", default=None,
                        help="gateway base URL (default: in-process engine)")
     l_run.add_argument("--label", default=None,
@@ -471,24 +438,23 @@ def build_parser() -> argparse.ArgumentParser:
     l_run.add_argument("--out", default=None,
                        help="also write the JSON result to this file")
 
-    l_seq = ldsub.add_parser(
-        "sequence",
+    l_seq = _command(
+        ldsub, "sequence", _run_load_sequence,
         help="plan the request sequence and print its fingerprint "
         "(no requests are sent)",
     )
-    _arrival_flags(l_seq)
+    _add_arrival_flags(l_seq)
     l_seq.add_argument("--show", type=int, default=10,
                        help="print the first N planned arrivals "
                        "(default: 10; 0 = none)")
     l_seq.add_argument("--json", action="store_true",
                        help="dump every planned arrival as JSON lines")
 
-    l_rep = ldsub.add_parser(
-        "report",
+    l_rep = _command(
+        ldsub, "report", _run_load_report,
         help="render archived load runs as a standalone HTML report",
     )
-    l_rep.add_argument("--db", default="runs.db",
-                       help="ledger SQLite file (default: runs.db)")
+    _add_db_flag(l_rep)
     l_rep.add_argument("--label", action="append", default=None,
                        help="only runs with this label (repeatable)")
     l_rep.add_argument("--limit", type=int, default=50,
@@ -497,8 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output file (default: load_report.html)")
     l_rep.add_argument("--title", default="Load observatory report")
 
-    dash = sub.add_parser(
-        "dash",
+    dash = _command(
+        sub, "dash", _run_dash,
         help="live terminal dashboard over a running gateway",
     )
     dash.add_argument("--url", default="http://127.0.0.1:8080",
@@ -515,6 +481,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_sweep_config_flags(parser: argparse.ArgumentParser) -> None:
+    """The :class:`ExperimentConfig` flags of the figures and
+    ``ledger sweep``, read back by :func:`_config_from_args`."""
+    parser.add_argument("--smoke", action="store_true",
+                        help="down-scaled run (seconds instead of minutes)")
+    parser.add_argument("--tasks", type=int, default=None,
+                        help="workflow size (paper: 90)")
+    parser.add_argument("--instances", type=int, default=None,
+                        help="instances per family (paper: 5)")
+    parser.add_argument("--reps", type=int, default=None,
+                        help="stochastic repetitions per point (paper: 25)")
+    parser.add_argument("--budgets", type=int, default=None,
+                        help="budget grid points per workflow")
+    parser.add_argument("--sigma", type=float, default=None,
+                        help="sigma/mean ratio (paper: 0.25..1.0)")
+    parser.add_argument("--seed", type=int, default=None)
+
+
+def _add_node_workers_flag(parser: argparse.ArgumentParser) -> None:
+    """The ``--workers`` process count or cluster node list of the sweeps."""
+    parser.add_argument("--workers", type=str, default="0",
+                        help="worker processes for the sweep, or a "
+                        "'host:port,host:port' cluster node list (0 = "
+                        "serial; results are bit-identical either way)")
+
+
+def _add_db_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--db", default="runs.db",
+                        help="ledger SQLite file (default: runs.db)")
+
+
 def _add_logging_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--log-level", default="info",
                         choices=("debug", "info", "warning", "error",
@@ -522,6 +519,15 @@ def _add_logging_flags(parser: argparse.ArgumentParser) -> None:
                         help="structured logging threshold")
     parser.add_argument("--log-json", action="store_true",
                         help="emit logs as JSON lines instead of key=value")
+
+
+def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
+    """``--budget`` in dollars or ``--position`` on [B_min, B_high]."""
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--budget", type=float, default=None,
+                       help="absolute budget in dollars")
+    group.add_argument("--position", type=float, default=0.5,
+                       help="budget position on [B_min, B_high] (0..1)")
 
 
 def _add_single_run_flags(
@@ -538,11 +544,71 @@ def _add_single_run_flags(
                         help="workflow generator seed")
     parser.add_argument("--sigma", type=float, default=0.5,
                         help="sigma/mean ratio")
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--budget", type=float, default=None,
-                       help="absolute budget in dollars")
-    group.add_argument("--position", type=float, default=0.5,
-                       help="budget position on [B_min, B_high] (0..1)")
+    _add_budget_flags(parser)
+
+
+def _add_arrival_flags(parser: argparse.ArgumentParser) -> None:
+    """The arrival-process and spec-pool flags of ``load run`` and
+    ``load sequence``, read back by :func:`_arrival_config_from_args`."""
+    parser.add_argument("--process", default="poisson",
+                        choices=("poisson", "mmpp", "trace"),
+                        help="arrival process (default: poisson)")
+    parser.add_argument("--rate", type=float, default=50.0,
+                        help="long-run offered rate, requests/s (default: 50)")
+    parser.add_argument("--requests", type=int, default=1000,
+                        help="total planned requests (default: 1000)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="sequence seed — same seed, same sequence")
+    parser.add_argument("--burstiness", type=float, default=4.0,
+                        help="mmpp burst:calm rate ratio (default: 4)")
+    parser.add_argument("--mean-burst-s", type=float, default=2.0,
+                        help="mmpp mean burst dwell (default: 2s)")
+    parser.add_argument("--mean-calm-s", type=float, default=8.0,
+                        help="mmpp mean calm dwell (default: 8s)")
+    parser.add_argument("--batch-tail-alpha", type=float, default=0.0,
+                        help="Pareto tail for batched arrivals "
+                        "(0 disables; smaller = heavier tail)")
+    parser.add_argument("--trace-file", default=None,
+                        help="arrival offsets file for --process trace")
+    parser.add_argument("--families", nargs="+", default=["montage", "ligo"],
+                        help="workflow families in the spec pool")
+    parser.add_argument("--n-tasks", nargs="+", type=int, default=[15],
+                        help="workflow sizes in the spec pool")
+    parser.add_argument("--algorithms", nargs="+", default=["heft_budg"],
+                        help="algorithms in the spec pool")
+    parser.add_argument("--budgets", nargs="+", type=float, default=[2.0],
+                        help="budget positions in the spec pool")
+    parser.add_argument("--spec-seeds", type=int, default=3,
+                        help="workflow RNG seeds per pool entry (default: 3)")
+    parser.add_argument("--reps", type=int, default=2,
+                        help="Monte-Carlo reps per request (default: 2)")
+    parser.add_argument("--tenants", default=None,
+                        help="weighted tenant mix, 'name=w,name=w' "
+                        "(default: one 'default' tenant)")
+    parser.add_argument("--priorities", default=None,
+                        help="weighted priority mix, 'name=w,name=w'")
+
+
+def _print_json(obj, fh=None) -> None:
+    """Indented, key-sorted JSON and a newline to ``fh`` (default stdout)."""
+    fh = sys.stdout if fh is None else fh
+    json.dump(obj, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
+def _archived(path: Optional[str], job, describe=lambda result: ""):
+    """``job()``, with every run it records archived into the ledger at
+    ``path`` and then announced as ``archived N run(s)<describe> to path``.
+
+    Without a ``path`` the job runs unrecorded and nothing is printed.
+    """
+    if path is None:
+        return job()
+    with RunLedger(path) as ledger:
+        with use_ledger(ledger):
+            result = job()
+        print(f"archived {ledger.count()} run(s){describe(result)} to {path}")
+    return result
 
 
 def _single_run_instance(args: argparse.Namespace):
@@ -561,34 +627,92 @@ def _single_run_instance(args: argparse.Namespace):
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig.smoke() if args.smoke else ExperimentConfig.paper_scale()
+    """The sweep the flags of :func:`_add_sweep_config_flags` select:
+    smoke or paper scale, with each given flag overriding its field."""
     overrides = {}
-    if args.tasks is not None:
-        overrides["n_tasks"] = args.tasks
-    if args.instances is not None:
-        overrides["n_instances"] = args.instances
-    if args.reps is not None:
-        overrides["n_reps"] = args.reps
-    if args.budgets is not None:
-        overrides["budgets_per_workflow"] = args.budgets
-    if args.sigma is not None:
-        overrides["sigma_ratio"] = args.sigma
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        from dataclasses import replace
+    for dest, field in _CONFIG_FLAGS.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            overrides[field] = tuple(value) if isinstance(value, list) else value
+    if args.smoke:
+        return ExperimentConfig.smoke(**overrides)
+    return ExperimentConfig.paper_scale(**overrides)
 
-        cfg = replace(cfg, **overrides)
-    return cfg
+
+def _run_figure(args: argparse.Namespace) -> int:
+    """``fig1`` … ``fig4``: run the sweep and render each panel's metric."""
+    builder, metrics = _FIGURES[args.command]
+    data = _archived(args.ledger, lambda: builder(_config_from_args(args)))
+    for metric in metrics:
+        print(render_figure(data, metric=metric))
+    if args.csv:
+        with open(args.csv, "w", newline="") as fh:
+            records_to_csv(data.records, fh)
+        print(f"raw records written to {args.csv}")
+    return 0
+
+
+def _run_table2(args: argparse.Namespace) -> int:
+    """``table2``: the platform constants."""
+    for key, value in table2_rows():
+        print(f"{key:>14s}: {value}")
+    return 0
+
+
+def _run_table3(args: argparse.Namespace) -> int:
+    """``table3a`` / ``table3b``: scheduling CPU time vs budget or size."""
+    builder, title, refined = _TABLE3[args.command]
+    algorithms = ["minmin", "heft", "minmin_budg", "heft_budg", "bdt", "cg"]
+    if args.refined:
+        algorithms += refined
+    kwargs = {"n_tasks": args.tasks} if "tasks" in args else {}
+    table = builder(repeats=args.repeats, algorithms=algorithms, **kwargs)
+    print(render_cpu_table(table, title=title))
+    return 0
+
+
+def _run_sigma(args: argparse.Namespace) -> int:
+    """``sigma``: makespan and cost across sigma ratios."""
+    from .experiments.sigma_study import render_sigma_study, sigma_study
+
+    study = sigma_study(
+        n_tasks=args.tasks, n_reps=args.reps, budget_position=args.position,
+    )
+    print(render_sigma_study(study))
+    return 0
+
+
+def _run_frontier(args: argparse.Namespace) -> int:
+    """``frontier``: minimal budget to match the baseline makespan."""
+    from .experiments.budget_frontier import frontier_study, render_frontier
+
+    print(render_frontier(frontier_study(sizes=tuple(args.sizes))))
+    return 0
+
+
+def _run_serve(args: argparse.Namespace) -> int:
+    """``serve``: run the HTTP gateway until interrupted."""
+    from .service.http import serve
+
+    serve(
+        host=args.host, port=args.port, max_workers=args.workers,
+        cache_size=args.cache_size, cache_ttl=args.cache_ttl,
+        ledger_path=args.ledger,
+        max_queue_depth=args.max_queue_depth,
+        job_timeout=args.job_timeout, max_retries=args.max_retries,
+        executor=args.executor, nodes=args.nodes,
+        tenants_path=args.tenants,
+        log_level=args.log_level, log_json=args.log_json,
+    )
+    return 0
 
 
 def _run_schedule(args: argparse.Namespace) -> int:
     """The ``schedule`` subcommand: one request in, one JSON response out."""
-    import json
-
-    from .errors import ServiceError
+    from .obs.logging import configure_logging
     from .service import SchedulingService
 
+    configure_logging(level=args.log_level, json_mode=args.log_json)
     if args.request is not None:
         try:
             if args.request == "-":
@@ -597,8 +721,7 @@ def _run_schedule(args: argparse.Namespace) -> int:
                 with open(args.request) as fh:
                     payload = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read request: {exc}", file=sys.stderr)
-            return 2
+            raise ReproError(f"cannot read request: {exc}") from exc
     else:
         payload = {
             "workflow": {
@@ -614,22 +737,16 @@ def _run_schedule(args: argparse.Namespace) -> int:
         }
 
     with SchedulingService(max_workers=1, cache_size=0) as svc:
-        try:
-            response = svc.schedule(payload)
-        except ServiceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        response = svc.schedule(payload)
     out = response.to_dict()
     if args.no_schedule_payload:
         out.pop("schedule")
-    json.dump(out, sys.stdout, indent=2, sort_keys=True)
-    print()
+    _print_json(out)
     return 0
 
 
 def _run_trace(args: argparse.Namespace) -> int:
     """The ``trace`` subcommand: one traced schedule+simulate, two files."""
-    from .errors import ReproError
     from .experiments.runner import replicate
     from .obs import Tracer, use_tracer
     from .obs.export import write_chrome_trace, write_decision_log
@@ -638,29 +755,25 @@ def _run_trace(args: argparse.Namespace) -> int:
     from .scheduling.registry import make_scheduler
     from .simulation.executor import evaluate_schedule
 
-    try:
-        wf, budget = _single_run_instance(args)
-        tracer = Tracer()
-        with use_tracer(tracer):
-            with tracer.span("trace.session", workflow=args.workflow,
-                             n_tasks=args.n, algorithm=args.algo,
-                             budget=budget):
-                result = make_scheduler(args.algo).schedule(
-                    wf, PAPER_PLATFORM, budget
-                )
-                run = evaluate_schedule(wf, PAPER_PLATFORM, result.schedule)
-                if args.workers > 0 and args.reps > 0:
-                    with tracer.span("trace.replications",
-                                     n_reps=args.reps, workers=args.workers):
-                        replicate(
-                            wf, PAPER_PLATFORM, result.schedule, budget,
-                            args.reps,
-                            seeds=spawn_seeds(as_generator(0), args.reps),
-                            workers=args.workers,
-                        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    wf, budget = _single_run_instance(args)
+    tracer = Tracer()
+    with use_tracer(tracer):
+        with tracer.span("trace.session", workflow=args.workflow,
+                         n_tasks=args.n, algorithm=args.algo,
+                         budget=budget):
+            result = make_scheduler(args.algo).schedule(
+                wf, PAPER_PLATFORM, budget
+            )
+            run = evaluate_schedule(wf, PAPER_PLATFORM, result.schedule)
+            if args.workers > 0 and args.reps > 0:
+                with tracer.span("trace.replications",
+                                 n_reps=args.reps, workers=args.workers):
+                    replicate(
+                        wf, PAPER_PLATFORM, result.schedule, budget,
+                        args.reps,
+                        seeds=spawn_seeds(as_generator(0), args.reps),
+                        workers=args.workers,
+                    )
 
     stem = args.out
     for suffix in (".trace.json", ".json"):
@@ -749,8 +862,6 @@ def _render_slo_report(report: dict) -> str:
 
 def _run_slo(args: argparse.Namespace) -> int:
     """The ``slo`` subcommand: burn rates + stage percentiles."""
-    import json
-
     if args.url is not None:
         import urllib.error
         import urllib.request
@@ -760,22 +871,18 @@ def _run_slo(args: argparse.Namespace) -> int:
             with urllib.request.urlopen(url, timeout=10.0) as resp:
                 report = json.load(resp)
         except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot fetch {url}: {exc}", file=sys.stderr)
-            return 2
+            raise ReproError(f"cannot fetch {url}: {exc}") from exc
     else:
-        from .obs.ledger import RunLedger
         from .obs.slo import report_from_rows
 
         with RunLedger(args.db) as ledger:
             rows = ledger.runs(source="service", limit=args.limit)
-        report = report_from_rows(rows)
         if not rows:
-            print(f"error: no service rows in {args.db}", file=sys.stderr)
-            return 2
+            raise ReproError(f"no service rows in {args.db}")
+        report = report_from_rows(rows)
 
     if args.json:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        print()
+        _print_json(report)
     else:
         print(_render_slo_report(report))
     return 0
@@ -783,30 +890,25 @@ def _run_slo(args: argparse.Namespace) -> int:
 
 def _run_profile(args: argparse.Namespace) -> int:
     """The ``profile`` subcommand: sample one schedule+simulate run."""
-    from .errors import ReproError
     from .obs.profiler import SamplingProfiler
     from .platform.cloud import PAPER_PLATFORM
     from .rng import as_generator, spawn_seeds
     from .scheduling.registry import make_scheduler
     from .simulation.executor import run_replications
 
-    try:
-        wf, budget = _single_run_instance(args)
-        profiler = SamplingProfiler(interval_s=args.interval)
-        with profiler:
-            result = make_scheduler(args.algo).schedule(
-                wf, PAPER_PLATFORM, budget
-            )
-            if args.reps > 0:
-                seeds = spawn_seeds(as_generator(args.seed), args.reps)
-                run_replications({
-                    "wf": wf, "platform": PAPER_PLATFORM,
-                    "schedule": result.schedule, "budget": budget,
-                    "seeds": seeds,
-                })
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    wf, budget = _single_run_instance(args)
+    profiler = SamplingProfiler(interval_s=args.interval)
+    with profiler:
+        result = make_scheduler(args.algo).schedule(
+            wf, PAPER_PLATFORM, budget
+        )
+        if args.reps > 0:
+            seeds = spawn_seeds(as_generator(args.seed), args.reps)
+            run_replications({
+                "wf": wf, "platform": PAPER_PLATFORM,
+                "schedule": result.schedule, "budget": budget,
+                "seeds": seeds,
+            })
 
     summary = profiler.to_dict()
     print(f"profiled        : {args.algo} on {args.workflow} "
@@ -845,13 +947,8 @@ def _run_worker(args: argparse.Namespace) -> int:
 
     from .cluster.protocol import parse_address
     from .cluster.worker import ClusterWorker
-    from .errors import ClusterProtocolError
 
-    try:
-        host, port = parse_address(args.listen)
-    except ClusterProtocolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    host, port = parse_address(args.listen)
     worker = ClusterWorker(
         host, port, slots=args.slots, heartbeat_s=args.heartbeat,
         token=args.token,
@@ -886,7 +983,8 @@ def _run_faults(args: argparse.Namespace) -> int:
 
     ``--spot`` switches to the spot-market variant: ``--rates`` become
     correlated revocation bursts per hour, plans go spot-first, and the
-    ``--reserves`` axis maps the contingency-reserve frontier.
+    ``--reserves`` axis maps the contingency-reserve frontier. Exits 1
+    when any completed run overspent its budget.
     """
     from .experiments.resilience import (
         render_resilience,
@@ -928,222 +1026,203 @@ def _run_faults(args: argparse.Namespace) -> int:
     else:
         sweep = resilience_sweep
         kwargs["crash_rates"] = tuple(args.rates)
-    if args.ledger:
-        from .obs.ledger import RunLedger, use_ledger
 
-        with RunLedger(args.ledger) as ledger:
-            with use_ledger(ledger):
-                study = sweep(**kwargs)
-            print(render_resilience(study))
-            print(f"archived {ledger.count()} run(s) to {args.ledger}")
-    else:
+    def sweep_and_render():
         study = sweep(**kwargs)
         print(render_resilience(study))
+        return study
+
+    study = _archived(args.ledger, sweep_and_render)
     over = sum(p.n_over_budget for p in study.points)
     return 1 if over else 0
 
 
-def _run_ledger(args: argparse.Namespace) -> int:
-    """The ``ledger`` subcommand group: archive, query, gate."""
-    import json
+def _run_ledger_sweep(args: argparse.Namespace) -> int:
+    """``ledger sweep``: run a sweep, archiving every point."""
+    from .experiments.runner import run_sweep
+
+    cfg = _config_from_args(args)
+    _archived(
+        args.db, lambda: run_sweep(cfg, workers=args.workers),
+        describe=lambda records: f" ({len(records)} repetition records)",
+    )
+    return 0
+
+
+def _run_ledger_list(args: argparse.Namespace) -> int:
+    """``ledger list``: the newest archived runs, as a table or CSV."""
+    with RunLedger(args.db) as ledger:
+        rows = ledger.runs(
+            algorithm=args.algorithm, workflow=args.workflow,
+            source=args.source, limit=args.limit,
+        )
+        if args.csv:
+            from .io import runs_to_csv
+
+            with open(args.csv, "w", newline="") as fh:
+                runs_to_csv(rows, fh)
+            print(f"{len(rows)} run(s) written to {args.csv}")
+            return 0
+        print(f"{'id':>5s} {'source':<8s} {'algorithm':<16s} "
+              f"{'workflow':<24s} {'budget':>9s} {'makespan':>9s} "
+              f"{'cost':>9s} {'succ':>5s}")
+        for r in rows:
+            mk = f"{r.sim_makespan:.1f}" if r.sim_makespan is not None else "—"
+            cost = f"{r.sim_cost:.4f}" if r.sim_cost is not None else "—"
+            succ = (f"{r.success_rate:.2f}"
+                    if r.success_rate is not None else "—")
+            print(f"{r.run_id:>5d} {r.source:<8s} {r.algorithm:<16s} "
+                  f"{(r.workflow or r.family):<24.24s} {r.budget:>9.4f} "
+                  f"{mk:>9s} {cost:>9s} {succ:>5s}")
+        print(f"{len(rows)} of {ledger.count()} run(s) in {args.db}")
+    return 0
+
+
+def _run_ledger_show(args: argparse.Namespace) -> int:
+    """``ledger show``: one archived run, as JSON."""
+    with RunLedger(args.db) as ledger:
+        try:
+            row = ledger.run(args.run_id)
+        except KeyError as exc:
+            raise ReproError(exc.args[0]) from None
+    _print_json(row.to_dict())
+    return 0
+
+
+def _run_ledger_compare(args: argparse.Namespace) -> int:
+    """``ledger compare``: per-group means."""
+    with RunLedger(args.db) as ledger:
+        stats = ledger.group_stats(latest_per_group=args.latest)
+    print(f"{'group':<40s} {'n':>4s} {'makespan':>10s} "
+          f"{'cost':>10s} {'success':>8s}")
+    for group, s in stats.items():
+        mk = f"{s['makespan']:.2f}" if "makespan" in s else "—"
+        cost = f"{s['cost']:.4f}" if "cost" in s else "—"
+        succ = (f"{s['success_rate']:.2f}"
+                if "success_rate" in s else "—")
+        print(f"{group:<40s} {int(s['n_runs']):>4d} {mk:>10s} "
+              f"{cost:>10s} {succ:>8s}")
+    print(f"{len(stats)} group(s)")
+    return 0
+
+
+def _run_ledger_baseline(args: argparse.Namespace) -> int:
+    """``ledger baseline``: fold the ledger into a BENCH-style document."""
+    from .obs.ledger import baseline_from_ledger, load_baseline_from_ledger
+
+    with RunLedger(args.db) as ledger:
+        baseline = baseline_from_ledger(ledger, latest_per_group=args.latest)
+        load_baseline = load_baseline_from_ledger(
+            ledger, latest_per_group=args.latest
+        )
+    doc = {"ledger_baseline": baseline}
+    if load_baseline:
+        doc["load_baseline"] = load_baseline
+    if args.out:
+        with open(args.out, "w") as fh:
+            _print_json(doc, fh)
+        print(f"{len(baseline)} run group(s) + {len(load_baseline)} "
+              f"load group(s) written to {args.out}")
+    else:
+        _print_json(doc)
+    if not baseline and not load_baseline:
+        raise ReproError("no simulated or load runs in the ledger")
+    return 0
+
+
+def _run_ledger_prune(args: argparse.Namespace) -> int:
+    """``ledger prune``: delete old rows to keep the database bounded."""
+    if args.max_rows is None and args.max_age_days is None:
+        raise ReproError("pass --max-rows and/or --max-age-days")
+    with RunLedger(args.db) as ledger:
+        deleted = ledger.prune(
+            max_rows=args.max_rows, max_age_days=args.max_age_days
+        )
+        print(f"pruned {deleted} row(s); {ledger.count()} run(s) and "
+              f"{ledger.load_count()} load run(s) left in {args.db}")
+    return 0
+
+
+def _run_ledger_estimate_error(args: argparse.Namespace) -> int:
+    """``ledger estimate-error``: pre-admission estimate accuracy."""
+    from .admission import estimate_error_report
+
+    with RunLedger(args.db) as ledger:
+        report = estimate_error_report(ledger, limit=args.limit)
+    if args.json:
+        _print_json(report)
+    else:
+        print(f"{'algorithm':<20s} {'n':>5s} {'cost MARE':>10s} "
+              f"{'worst':>8s} {'dur MARE':>9s} {'worst':>8s} sources")
+        for algorithm, entry in report.items():
+            cm = (f"{entry['cost_mare']:.3f}"
+                  if "cost_mare" in entry else "—")
+            cw = (f"{entry['cost_worst']:+.2f}"
+                  if "cost_worst" in entry else "—")
+            dm = (f"{entry['duration_mare']:.3f}"
+                  if "duration_mare" in entry else "—")
+            dw = (f"{entry['duration_worst']:+.2f}"
+                  if "duration_worst" in entry else "—")
+            sources = ",".join(
+                f"{k}:{v}" for k, v in entry["sources"].items()
+            )
+            print(f"{algorithm:<20.20s} {entry['n']:>5d} {cm:>10s} "
+                  f"{cw:>8s} {dm:>9s} {dw:>8s} {sources}")
+        print(f"{len(report)} algorithm(s) with reconciled estimates "
+              f"in {args.db}")
+    if not report:
+        raise ReproError("no admission-reconciled rows in the ledger")
+    return 0
+
+
+def _run_ledger_regress(args: argparse.Namespace) -> int:
+    """``ledger regress``: gate the ledger against a BENCH baseline;
+    exit 1 on regression."""
     from functools import partial
 
     from .obs.ledger import (
-        RunLedger,
-        baseline_from_ledger,
         compare_load_to_baseline,
         compare_to_baseline,
         extract_baseline,
         extract_load_baseline,
-        load_baseline_from_ledger,
-        use_ledger,
     )
 
-    cmd = args.ledger_command
-    if cmd == "sweep":
-        from dataclasses import replace
-
-        from .experiments.runner import run_sweep
-
-        cfg = _config_from_args(args)
-        overrides = {}
-        if args.families:
-            overrides["families"] = tuple(args.families)
-        if args.algorithms:
-            overrides["algorithms"] = tuple(args.algorithms)
-        if overrides:
-            cfg = replace(cfg, **overrides)
-        with RunLedger(args.db) as ledger:
-            with use_ledger(ledger):
-                records = run_sweep(cfg, workers=args.workers)
-            n_runs = ledger.count()
-        print(f"archived {n_runs} run(s) ({len(records)} repetition records) "
-              f"to {args.db}")
-        return 0
-
+    try:
+        with open(args.baseline) as fh:
+            document = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ReproError(f"cannot load baseline: {exc}") from exc
+    # A BENCH document may carry a simulation baseline, a load
+    # baseline, or both; gate every kind it has.
+    gates = (
+        (extract_baseline, partial(
+            compare_to_baseline,
+            makespan_threshold=args.threshold,
+            cost_threshold=args.cost_threshold,
+            success_threshold=args.success_threshold,
+        )),
+        (extract_load_baseline, partial(
+            compare_load_to_baseline,
+            rps_threshold=args.rps_threshold,
+            p99_threshold=args.p99_threshold,
+        )),
+    )
+    reports, errors = [], []
     with RunLedger(args.db) as ledger:
-        if cmd == "list":
-            rows = ledger.runs(
-                algorithm=args.algorithm, workflow=args.workflow,
-                source=args.source, limit=args.limit,
-            )
-            if args.csv:
-                from .io import runs_to_csv
-
-                with open(args.csv, "w", newline="") as fh:
-                    runs_to_csv(rows, fh)
-                print(f"{len(rows)} run(s) written to {args.csv}")
-                return 0
-            print(f"{'id':>5s} {'source':<8s} {'algorithm':<16s} "
-                  f"{'workflow':<24s} {'budget':>9s} {'makespan':>9s} "
-                  f"{'cost':>9s} {'succ':>5s}")
-            for r in rows:
-                mk = f"{r.sim_makespan:.1f}" if r.sim_makespan is not None else "—"
-                cost = f"{r.sim_cost:.4f}" if r.sim_cost is not None else "—"
-                succ = (f"{r.success_rate:.2f}"
-                        if r.success_rate is not None else "—")
-                print(f"{r.run_id:>5d} {r.source:<8s} {r.algorithm:<16s} "
-                      f"{(r.workflow or r.family):<24.24s} {r.budget:>9.4f} "
-                      f"{mk:>9s} {cost:>9s} {succ:>5s}")
-            print(f"{len(rows)} of {ledger.count()} run(s) in {args.db}")
-            return 0
-
-        if cmd == "show":
+        for extract, compare in gates:
             try:
-                row = ledger.run(args.run_id)
-            except KeyError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            json.dump(row.to_dict(), sys.stdout, indent=2, sort_keys=True)
-            print()
-            return 0
-
-        if cmd == "compare":
-            stats = ledger.group_stats(latest_per_group=args.latest)
-            print(f"{'group':<40s} {'n':>4s} {'makespan':>10s} "
-                  f"{'cost':>10s} {'success':>8s}")
-            for group, s in stats.items():
-                mk = f"{s['makespan']:.2f}" if "makespan" in s else "—"
-                cost = f"{s['cost']:.4f}" if "cost" in s else "—"
-                succ = (f"{s['success_rate']:.2f}"
-                        if "success_rate" in s else "—")
-                print(f"{group:<40s} {int(s['n_runs']):>4d} {mk:>10s} "
-                      f"{cost:>10s} {succ:>8s}")
-            print(f"{len(stats)} group(s)")
-            return 0
-
-        if cmd == "baseline":
-            baseline = baseline_from_ledger(
-                ledger, latest_per_group=args.latest
-            )
-            doc = {"ledger_baseline": baseline}
-            load_baseline = load_baseline_from_ledger(
-                ledger, latest_per_group=args.latest
-            )
-            if load_baseline:
-                doc["load_baseline"] = load_baseline
-            if args.out:
-                with open(args.out, "w") as fh:
-                    json.dump(doc, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                print(f"{len(baseline)} run group(s) + {len(load_baseline)} "
-                      f"load group(s) written to {args.out}")
-            else:
-                json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-                print()
-            if not baseline and not load_baseline:
-                print("error: no simulated or load runs in the ledger",
-                      file=sys.stderr)
-                return 2
-            return 0
-
-        if cmd == "prune":
-            if args.max_rows is None and args.max_age_days is None:
-                print("error: pass --max-rows and/or --max-age-days",
-                      file=sys.stderr)
-                return 2
-            deleted = ledger.prune(
-                max_rows=args.max_rows, max_age_days=args.max_age_days
-            )
-            print(f"pruned {deleted} row(s); {ledger.count()} run(s) and "
-                  f"{ledger.load_count()} load run(s) left in {args.db}")
-            return 0
-
-        if cmd == "estimate-error":
-            from .admission import estimate_error_report
-
-            report = estimate_error_report(ledger, limit=args.limit)
-            if args.json:
-                json.dump(report, sys.stdout, indent=2, sort_keys=True)
-                print()
-            else:
-                print(f"{'algorithm':<20s} {'n':>5s} {'cost MARE':>10s} "
-                      f"{'worst':>8s} {'dur MARE':>9s} {'worst':>8s} sources")
-                for algorithm, entry in report.items():
-                    cm = (f"{entry['cost_mare']:.3f}"
-                          if "cost_mare" in entry else "—")
-                    cw = (f"{entry['cost_worst']:+.2f}"
-                          if "cost_worst" in entry else "—")
-                    dm = (f"{entry['duration_mare']:.3f}"
-                          if "duration_mare" in entry else "—")
-                    dw = (f"{entry['duration_worst']:+.2f}"
-                          if "duration_worst" in entry else "—")
-                    sources = ",".join(
-                        f"{k}:{v}" for k, v in entry["sources"].items()
-                    )
-                    print(f"{algorithm:<20.20s} {entry['n']:>5d} {cm:>10s} "
-                          f"{cw:>8s} {dm:>9s} {dw:>8s} {sources}")
-                print(f"{len(report)} algorithm(s) with reconciled estimates "
-                      f"in {args.db}")
-            if not report:
-                print("error: no admission-reconciled rows in the ledger",
-                      file=sys.stderr)
-                return 2
-            return 0
-
-        if cmd == "regress":
-            try:
-                with open(args.baseline) as fh:
-                    document = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                print(f"error: cannot load baseline: {exc}", file=sys.stderr)
-                return 2
-            # A BENCH document may carry a simulation baseline, a load
-            # baseline, or both; gate every kind it has.
-            gates = (
-                (extract_baseline, partial(
-                    compare_to_baseline,
-                    makespan_threshold=args.threshold,
-                    cost_threshold=args.cost_threshold,
-                    success_threshold=args.success_threshold,
-                )),
-                (extract_load_baseline, partial(
-                    compare_load_to_baseline,
-                    rps_threshold=args.rps_threshold,
-                    p99_threshold=args.p99_threshold,
-                )),
-            )
-            reports, errors = [], []
-            for extract, compare in gates:
-                try:
-                    baseline = extract(document)
-                except ValueError as exc:
-                    errors.append(str(exc))
-                    continue
-                reports.append(compare(ledger, baseline, stat=args.stat,
-                                       confidence=args.confidence))
-                print(reports[-1].render())
-            if not reports:
-                print(f"error: cannot load baseline: {'; '.join(errors)}",
-                      file=sys.stderr)
-                return 2
-            if not any(report.deltas for report in reports):
-                print("error: no baseline group found in the ledger",
-                      file=sys.stderr)
-                return 2
-            return 0 if all(report.ok for report in reports) else 1
-
-    return 1  # pragma: no cover - argparse guards subcommands
+                baseline = extract(document)
+            except ValueError as exc:
+                errors.append(str(exc))
+                continue
+            reports.append(compare(ledger, baseline, stat=args.stat,
+                                   confidence=args.confidence))
+            print(reports[-1].render())
+    if not reports:
+        raise ReproError(f"cannot load baseline: {'; '.join(errors)}")
+    if not any(report.deltas for report in reports):
+        raise ReproError("no baseline group found in the ledger")
+    return 0 if all(report.ok for report in reports) else 1
 
 
 def _parse_mix(text: Optional[str], what: str) -> Optional[dict]:
@@ -1157,17 +1236,15 @@ def _parse_mix(text: Optional[str], what: str) -> Optional[dict]:
             continue
         name, eq, weight = part.partition("=")
         if not eq:
-            raise SystemExit(
-                f"error: {what} entry {part!r} is not 'name=weight'"
-            )
+            raise ReproError(f"{what} entry {part!r} is not 'name=weight'")
         try:
             mix[name.strip()] = float(weight)
         except ValueError:
-            raise SystemExit(
-                f"error: {what} weight in {part!r} is not a number"
+            raise ReproError(
+                f"{what} weight in {part!r} is not a number"
             ) from None
     if not mix:
-        raise SystemExit(f"error: {what} mix is empty")
+        raise ReproError(f"{what} mix is empty")
     return mix
 
 
@@ -1203,117 +1280,93 @@ def _arrival_config_from_args(args: argparse.Namespace):
     return ArrivalConfig(**kwargs)
 
 
-def _run_load(args: argparse.Namespace) -> int:
-    """The ``load`` subcommand group: sequence, run, report."""
-    import json
+def _run_load_sequence(args: argparse.Namespace) -> int:
+    """``load sequence``: plan the arrivals and print their fingerprint."""
+    from .loadgen import generate_sequence, sequence_fingerprint
 
-    from .errors import ServiceError
+    config = _arrival_config_from_args(args)
+    planned = generate_sequence(config)
+    if args.json:
+        for p in planned:
+            json.dump({"index": p.index, "offset_s": p.offset_s,
+                       "fingerprint": p.fingerprint, "tenant": p.tenant,
+                       "priority": p.priority}, sys.stdout,
+                      sort_keys=True)
+            print()
+    print(f"config   {config.fingerprint()}")
+    print(f"sequence {sequence_fingerprint(planned)}")
+    print(f"{len(planned)} request(s) over "
+          f"{planned[-1].offset_s if planned else 0.0:.2f}s "
+          f"(offered {config.offered_rate:.1f} req/s)")
+    for p in planned[:max(args.show, 0)]:
+        print(f"  #{p.index:<5d} +{p.offset_s:8.3f}s "
+              f"{p.fingerprint[:12]} {p.tenant}/{p.priority}")
+    return 0
 
-    cmd = args.load_command
-    if cmd == "sequence":
-        from .loadgen import generate_sequence, sequence_fingerprint
 
-        try:
-            config = _arrival_config_from_args(args)
-            planned = generate_sequence(config)
-        except ServiceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.json:
-            for p in planned:
-                json.dump({"index": p.index, "offset_s": p.offset_s,
-                           "fingerprint": p.fingerprint, "tenant": p.tenant,
-                           "priority": p.priority}, sys.stdout,
-                          sort_keys=True)
-                print()
-        print(f"config   {config.fingerprint()}")
-        print(f"sequence {sequence_fingerprint(planned)}")
-        print(f"{len(planned)} request(s) over "
-              f"{planned[-1].offset_s if planned else 0.0:.2f}s "
-              f"(offered {config.offered_rate:.1f} req/s)")
-        for p in planned[:max(args.show, 0)]:
-            print(f"  #{p.index:<5d} +{p.offset_s:8.3f}s "
-                  f"{p.fingerprint[:12]} {p.tenant}/{p.priority}")
-        return 0
+def _run_load_run(args: argparse.Namespace) -> int:
+    """``load run``: replay a seeded workload, optionally archive it."""
+    from .loadgen import LoadDriver
 
-    if cmd == "run":
-        from .loadgen import LoadDriver
+    config = _arrival_config_from_args(args)
+    service = None
+    target = args.target
+    if target is None:
+        from .service.engine import SchedulingService
 
-        try:
-            config = _arrival_config_from_args(args)
-        except ServiceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        service = None
-        target = args.target
-        if target is None:
-            from .service.engine import SchedulingService
-
-            service = SchedulingService()
-            target = service
+        service = target = SchedulingService()
+    try:
         driver = LoadDriver(
             target, concurrency=args.concurrency, pace=not args.no_pace
         )
-        try:
-            result = driver.run(config, label=args.label)
-        except ServiceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        finally:
-            if service is not None:
-                service.close()
-        payload = result.to_dict()
-        if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        if args.json:
-            json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-            print()
-        else:
-            pcts = result.percentiles()
-            print(f"{result.n_requests} request(s) in "
-                  f"{result.duration_s:.2f}s — offered "
-                  f"{result.offered_rps:.1f} req/s, achieved "
-                  f"{result.achieved_rps:.1f} req/s")
-            print("outcomes: " + ", ".join(
-                f"{name}={count}"
-                for name, count in sorted(result.outcomes.items())
-            ))
-            print(f"latency p50={pcts.get('p50', 0.0) * 1e3:.2f}ms "
-                  f"p95={pcts.get('p95', 0.0) * 1e3:.2f}ms "
-                  f"p99={pcts.get('p99', 0.0) * 1e3:.2f}ms  cost "
-                  f"{result.cost_total:.4f}")
-            print(f"sequence {result.sequence_fp}")
-        if args.db:
-            from .obs.ledger import RunLedger
-
-            with RunLedger(args.db) as ledger:
-                load_id = ledger.record_load_run(result.to_row())
-            print(f"archived load_run #{load_id} to {args.db}")
-        return 0
-
-    if cmd == "report":
-        from .loadgen import write_load_report
-        from .obs.ledger import RunLedger
-
+        result = driver.run(config, label=args.label or "")
+    finally:
+        if service is not None:
+            service.close()
+    payload = result.to_dict()
+    if args.out:
+        with open(args.out, "w") as fh:
+            _print_json(payload, fh)
+    if args.json:
+        _print_json(payload)
+    else:
+        pcts = result.percentiles()
+        print(f"{result.n_requests} request(s) in "
+              f"{result.duration_s:.2f}s — offered "
+              f"{result.offered_rps:.1f} req/s, achieved "
+              f"{result.achieved_rps:.1f} req/s")
+        print("outcomes: " + ", ".join(
+            f"{name}={count}"
+            for name, count in sorted(result.outcomes.items())
+        ))
+        print(f"latency p50={pcts.get('p50', 0.0) * 1e3:.2f}ms "
+              f"p95={pcts.get('p95', 0.0) * 1e3:.2f}ms "
+              f"p99={pcts.get('p99', 0.0) * 1e3:.2f}ms  cost "
+              f"{result.cost_total:.4f}")
+        print(f"sequence {result.sequence_fp}")
+    if args.db:
         with RunLedger(args.db) as ledger:
-            if args.label:
-                rows = []
-                for label in args.label:
-                    rows.extend(ledger.load_runs(
-                        label=label, limit=args.limit
-                    ))
-            else:
-                rows = ledger.load_runs(limit=args.limit)
-        if not rows:
-            print("error: no load runs in the ledger", file=sys.stderr)
-            return 2
-        path = write_load_report(rows, args.out, title=args.title)
-        print(f"{len(rows)} load run(s) written to {path}")
-        return 0
+            load_id = ledger.record_load_run(result.to_row())
+        print(f"archived load_run #{load_id} to {args.db}")
+    return 0
 
-    return 1  # pragma: no cover - argparse guards subcommands
+
+def _run_load_report(args: argparse.Namespace) -> int:
+    """``load report``: archived load runs as a standalone HTML page."""
+    from .loadgen import write_load_report
+
+    with RunLedger(args.db) as ledger:
+        if args.label:
+            rows = []
+            for label in args.label:
+                rows.extend(ledger.load_runs(label=label, limit=args.limit))
+        else:
+            rows = ledger.load_runs(limit=args.limit)
+    if not rows:
+        raise ReproError("no load runs in the ledger")
+    path = write_load_report(rows, args.out, title=args.title)
+    print(f"{len(rows)} load run(s) written to {path}")
+    return 0
 
 
 def _run_dash(args: argparse.Namespace) -> int:
@@ -1330,112 +1383,19 @@ def _run_dash(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point; returns a process exit code."""
+    """Entry point; returns a process exit code.
+
+    0 on success; 1 on a gate regression, an over-budget ``faults``
+    sweep or a ``dash`` that drew no frame; 2 on bad input or any
+    :class:`~repro.errors.ReproError`, reported as one ``error: …`` line
+    on stderr.
+    """
     args = build_parser().parse_args(argv)
-
-    if args.command in _FIGURES:
-        builder, metrics = _FIGURES[args.command]
-        if args.ledger:
-            from .obs.ledger import RunLedger, use_ledger
-
-            with RunLedger(args.ledger) as ledger:
-                with use_ledger(ledger):
-                    data = builder(_config_from_args(args))
-                print(f"archived {ledger.count()} run(s) to {args.ledger}")
-        else:
-            data = builder(_config_from_args(args))
-        for metric in metrics:
-            print(render_figure(data, metric=metric))
-        if args.csv:
-            with open(args.csv, "w", newline="") as fh:
-                records_to_csv(data.records, fh)
-            print(f"raw records written to {args.csv}")
-        return 0
-
-    if args.command == "table2":
-        for key, value in table2_rows():
-            print(f"{key:>14s}: {value}")
-        return 0
-
-    if args.command == "sigma":
-        from .experiments.sigma_study import render_sigma_study, sigma_study
-
-        study = sigma_study(
-            n_tasks=args.tasks, n_reps=args.reps,
-            budget_position=args.position,
-        )
-        print(render_sigma_study(study))
-        return 0
-
-    if args.command == "frontier":
-        from .experiments.budget_frontier import frontier_study, render_frontier
-
-        print(render_frontier(frontier_study(sizes=tuple(args.sizes))))
-        return 0
-
-    algorithms = ["minmin", "heft", "minmin_budg", "heft_budg", "bdt", "cg"]
-    if args.command == "table3a":
-        if args.refined:
-            algorithms += ["heft_budg_plus", "heft_budg_plus_inv", "cg_plus"]
-        table = table3a(
-            n_tasks=args.tasks, repeats=args.repeats, algorithms=algorithms
-        )
-        print(render_cpu_table(table, title="Table III(a): CPU time vs budget"))
-        return 0
-
-    if args.command == "serve":
-        from .service.http import serve
-
-        serve(
-            host=args.host, port=args.port, max_workers=args.workers,
-            cache_size=args.cache_size, cache_ttl=args.cache_ttl,
-            ledger_path=args.ledger,
-            max_queue_depth=args.max_queue_depth,
-            job_timeout=args.job_timeout, max_retries=args.max_retries,
-            executor=args.executor, nodes=args.nodes,
-            tenants_path=args.tenants,
-            log_level=args.log_level, log_json=args.log_json,
-        )
-        return 0
-
-    if args.command == "worker":
-        return _run_worker(args)
-
-    if args.command == "schedule":
-        from .obs.logging import configure_logging
-
-        configure_logging(level=args.log_level, json_mode=args.log_json)
-        return _run_schedule(args)
-
-    if args.command == "trace":
-        return _run_trace(args)
-
-    if args.command == "slo":
-        return _run_slo(args)
-
-    if args.command == "profile":
-        return _run_profile(args)
-
-    if args.command == "faults":
-        return _run_faults(args)
-
-    if args.command == "ledger":
-        return _run_ledger(args)
-
-    if args.command == "load":
-        return _run_load(args)
-
-    if args.command == "dash":
-        return _run_dash(args)
-
-    if args.command == "table3b":
-        if args.refined:
-            algorithms += ["heft_budg_plus", "heft_budg_plus_inv"]
-        table = table3b(repeats=args.repeats, algorithms=algorithms)
-        print(render_cpu_table(table, title="Table III(b): CPU time vs size"))
-        return 0
-
-    return 1  # pragma: no cover - argparse guards commands
+    try:
+        return args.run(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

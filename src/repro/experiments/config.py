@@ -53,7 +53,3 @@ class ExperimentConfig:
             n_reps=5,
         )
         return replace(base, **overrides)
-
-    def with_algorithms(self, *names: str) -> "ExperimentConfig":
-        """Copy with a different algorithm set."""
-        return replace(self, algorithms=tuple(names))

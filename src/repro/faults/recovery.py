@@ -43,7 +43,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import SchedulingError
 from ..platform.cloud import CloudPlatform
-from ..platform.pricing import on_demand_twin, spot_vm_cost, strip_spot, vm_cost
+from ..platform.pricing import on_demand_twin, spot_vm_cost, strip_spot
 from ..scheduling.budget import divide_budget
 from ..scheduling.list_base import get_best_host
 from ..scheduling.planning import PlannedVM, PlanningState

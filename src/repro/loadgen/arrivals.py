@@ -32,7 +32,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, field, fields as dataclass_fields
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from ..errors import ServiceError
 from ..io import fingerprint as _fingerprint

@@ -28,7 +28,7 @@ Stdlib only; thread-safety is the caller's job (the
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, Mapping, Optional
 
 __all__ = ["QuantileSketch", "DEFAULT_ALPHA"]
 

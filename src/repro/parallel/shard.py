@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 __all__ = ["Shard", "ShardPlan", "ShardStats", "MIN_SHARD_SIZE"]
 

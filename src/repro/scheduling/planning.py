@@ -85,11 +85,6 @@ class PlannedVM:
     last_dispatch: float = 0.0
     tasks: List[str] = field(default_factory=list)
 
-    @property
-    def compute_free(self) -> float:
-        """Earliest instant any core is idle."""
-        return min(self.core_free)
-
 
 class PlanningState:
     """Mutable planner state: enrolled VMs + per-task timelines.

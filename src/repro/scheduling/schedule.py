@@ -12,8 +12,8 @@ implicitly dropped (``update(UsedVM)`` in Algorithm 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Tuple
 
 from ..errors import ScheduleValidationError
 from ..platform.vm import VMCategory

@@ -125,7 +125,7 @@ class _Job:
 
     def __init__(self, record: JobRecord) -> None:
         self.record = record
-        self.future: Optional["Future[ScheduleResponse]"] = None
+        self.future: "Future[ScheduleResponse]" = Future()
         self.request: Optional[ScheduleRequest] = None
         self.decision: Any = None  # AdmissionDecision of an admitted job
         self.stages: Optional[StageTimings] = None  # request lifecycle
@@ -608,7 +608,6 @@ class SchedulingService:
         )
         job = _Job(record)
         job.request = req
-        job.future = Future()
         job.stages = StageTimings()
         try:
             job.decision = self.admission.admit(
@@ -643,7 +642,7 @@ class SchedulingService:
         if entry is None:
             return
         job = self._lookup_job(entry.job_id)
-        if job is None or job.future is None:
+        if job is None:
             # Unreachable in practice (entries are registered right after
             # admission); refund rather than leak the reservation.
             self.admission.tenants.release(entry.tenant, entry.estimated_cost)
@@ -730,11 +729,12 @@ class SchedulingService:
         Raises :class:`ServiceError` if the job failed or was cancelled,
         and ``TimeoutError`` if ``timeout`` elapses first.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        future = self._wait_for_future(job_id, deadline)
-        remaining = None if deadline is None else deadline - time.monotonic()
+        with self._lock:
+            job = self._jobs.get(job_id)
+        if job is None:
+            raise JobNotFoundError(f"no such job {job_id!r}")
         try:
-            return future.result(timeout=remaining)
+            return job.future.result(timeout=timeout)
         except ReproError:
             raise
         except FuturesCancelledError:
@@ -750,47 +750,16 @@ class SchedulingService:
             # _run_job; what reaches the caller here is always wrapped.
             raise ServiceError(f"job {job_id} failed: {exc}") from exc
 
-    def _wait_for_future(
-        self, job_id: str, deadline: Optional[float]
-    ) -> "Future[ScheduleResponse]":
-        """The job's future, waiting out the submit()/cancel() races.
-
-        A job can briefly exist without a future (``submit`` publishes
-        ``job.queued`` before handing the callable to the pool) — and a
-        job cancelled in that window never gets one.
-        """
-        while True:
-            with self._lock:
-                job = self._jobs.get(job_id)
-                if job is None:
-                    raise JobNotFoundError(f"no such job {job_id!r}")
-                if job.future is not None:
-                    return job.future
-                if job.record.state == JobState.CANCELLED:
-                    raise ServiceError(f"job {job_id} was cancelled")
-            if deadline is not None and time.monotonic() >= deadline:
-                raise TimeoutError(f"job {job_id} was never started")
-            time.sleep(0.001)
-
     def cancel(self, job_id: str) -> bool:
         """Cancel a job that has not started; True when it was cancelled."""
         with self._lock:
             job = self._jobs.get(job_id)
             if job is None:
                 raise JobNotFoundError(f"no such job {job_id!r}")
-            future = job.future
-            if future is None:
-                # Defensive: every submitted job gets a future before it
-                # is registered, so this branch only guards torn state.
-                if job.record.state != JobState.PENDING:
-                    return False
-                job.record.state = JobState.CANCELLED
-                job.record.finished_at = time.time()
-            elif future.cancel():
-                job.record.state = JobState.CANCELLED
-                job.record.finished_at = time.time()
-            else:
+            if not job.future.cancel():
                 return False
+            job.record.state = JobState.CANCELLED
+            job.record.finished_at = time.time()
         # Refund responsibility: if this call removed the queue entry, no
         # dispatcher will ever claim it and the withdraw refund is final;
         # otherwise a dispatcher already popped it and its failed
@@ -807,9 +776,7 @@ class SchedulingService:
         """Block until every submitted job left the pending/running states."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
-            futures = [
-                j.future for j in self._jobs.values() if j.future is not None
-            ]
+            futures = [j.future for j in self._jobs.values()]
         for future in futures:
             remaining = (
                 None if deadline is None else deadline - time.monotonic()
@@ -844,8 +811,7 @@ class SchedulingService:
             for job in self._jobs.values():
                 by_state[job.record.state] += 1
                 if (
-                    job.future is not None
-                    and job.future.done()
+                    job.future.done()
                     and not job.future.cancelled()
                     and job.record.state in (JobState.PENDING, JobState.RUNNING)
                 ):
@@ -1025,10 +991,6 @@ class SchedulingService:
     def _run_job(self, job_id: str, request: ScheduleRequest) -> ScheduleResponse:
         with self._lock:
             record = self._jobs[job_id].record
-            if record.state == JobState.CANCELLED:
-                # cancel() won the submit race; the pool picked up a
-                # corpse. Surface it as a cancellation to result().
-                raise FuturesCancelledError()
             record.state = JobState.RUNNING
             record.started_at = time.time()
         waited = getattr(self._job_context, "queue_waited_s", None)

@@ -131,28 +131,27 @@ def _sse_timeout(query: Dict[str, str]) -> float:
     return min(timeout, _SSE_MAX_TIMEOUT)
 
 
-def _job_event_frames(service: SchedulingService, job_id: str, timeout: float):
-    """SSE frames of one job's lifecycle: buffered history, then live.
+def _event_frames(service: SchedulingService, types, timeout: float, *,
+                  replay: Optional[int] = None, match=None,
+                  until_finished: bool = False):
+    """SSE frames of the event bus: buffered history, then live events.
 
-    Subscribes *before* replaying history so no event can fall between
-    the two phases; duplicates are dropped by sequence number. Ends (and
-    the connection closes) right after the job's terminal
-    ``job.finished`` event, or when ``timeout`` elapses.
+    Replays the newest ``replay`` buffered events of ``types`` that
+    ``match`` accepts (every one when ``replay`` is None), then streams
+    the live ones until ``timeout`` elapses, with keep-alive comments
+    while idle. Subscribes *before* replaying history so no event can
+    fall between the two phases; duplicates are dropped by sequence
+    number. With ``until_finished`` the stream ends (and the connection
+    closes) right after the first ``job.finished`` event.
     """
     bus = service.events
-    types = JOB_EVENT_TYPES + (RUN_RECORDED,)
-
-    def matches(ev) -> bool:
-        data = ev.data
-        return data.get("job_id") == job_id or data.get("trace_id") == job_id
-
     sub = bus.subscribe(types=types)
     try:
         last_seq = 0
-        for ev in bus.history(types=types, match=matches):
+        for ev in bus.history(types=types, match=match, limit=replay):
             yield ev.to_sse()
             last_seq = ev.seq
-            if ev.type == "job.finished":
+            if until_finished and ev.type == "job.finished":
                 return
         deadline = time.monotonic() + timeout
         while True:
@@ -164,39 +163,11 @@ def _job_event_frames(service: SchedulingService, job_id: str, timeout: float):
             if ev is None:
                 yield ": keep-alive\n\n"
                 continue
-            if ev.seq <= last_seq or not matches(ev):
+            if ev.seq <= last_seq or (match is not None and not match(ev)):
                 continue
             yield ev.to_sse()
-            if ev.type == "job.finished":
+            if until_finished and ev.type == "job.finished":
                 return
-    finally:
-        sub.close()
-
-
-def _bus_event_frames(service: SchedulingService, types, replay: int,
-                      timeout: float):
-    """SSE frames of the whole event bus, with optional replay/filtering."""
-    bus = service.events
-    sub = bus.subscribe(types=types)
-    try:
-        last_seq = 0
-        if replay > 0:
-            for ev in bus.history(types=types, limit=replay):
-                yield ev.to_sse()
-                last_seq = ev.seq
-        deadline = time.monotonic() + timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                yield ": timeout\n\n"
-                return
-            ev = sub.get(timeout=min(remaining, _SSE_POLL_S))
-            if ev is None:
-                yield ": keep-alive\n\n"
-                continue
-            if ev.seq <= last_seq:
-                continue
-            yield ev.to_sse()
     finally:
         sub.close()
 
@@ -452,7 +423,7 @@ class _Handler(BaseHTTPRequestHandler):
                     f"invalid replay {query['replay']!r}"
                 ) from None
             return 200, _SSEStream(
-                _bus_event_frames(self.service, types, replay, timeout)
+                _event_frames(self.service, types, timeout, replay=replay)
             )
         if method == "GET" and tail == ["runs"]:
             ledger = self.service.ledger
@@ -486,9 +457,16 @@ class _Handler(BaseHTTPRequestHandler):
             job_id = tail[1]
             timeout = _sse_timeout(query)
             self.service.job(job_id)  # 404 before headers when unknown
-            return 200, _SSEStream(
-                _job_event_frames(self.service, job_id, timeout)
-            )
+
+            def of_job(ev) -> bool:
+                data = ev.data
+                return (data.get("job_id") == job_id
+                        or data.get("trace_id") == job_id)
+
+            return 200, _SSEStream(_event_frames(
+                self.service, JOB_EVENT_TYPES + (RUN_RECORDED,), timeout,
+                match=of_job, until_finished=True,
+            ))
         if len(tail) == 2 and tail[0] == "jobs":
             job_id = tail[1]
             if method == "GET":

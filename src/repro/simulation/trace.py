@@ -114,7 +114,3 @@ class SimulationResult:
     def respects_budget(self, budget: float, tol: float = 1e-9) -> bool:
         """Validity check used by the paper's Figure 3 middle row."""
         return self.total_cost <= budget * (1.0 + tol) + tol
-
-    def finish_time_of(self, tid: str) -> float:
-        """Compute-completion time of one task."""
-        return self.tasks[tid].compute_end
