@@ -39,6 +39,19 @@ def test_executor_400_tasks(benchmark, big_wf, big_schedule):
     assert result.makespan > 0
 
 
+def test_executor_400_tasks_finite_dc(benchmark, big_wf, big_schedule):
+    """The same replay with the datacenter shared at 20 MB/s (§V-B)."""
+    weights = conservative_weights(big_wf)
+    result = benchmark(
+        execute_schedule, big_wf, PAPER_PLATFORM, big_schedule, weights,
+        dc_capacity=20e6, validate=False,
+    )
+    assert len(result.tasks) == 400
+    assert result.makespan > execute_schedule(
+        big_wf, PAPER_PLATFORM, big_schedule, weights, validate=False,
+    ).makespan
+
+
 def test_bottom_levels_1000_tasks(benchmark):
     wf = generate_random_layered(1000, depth=20, rng=2)
     ranks = benchmark(

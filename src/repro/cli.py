@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -611,6 +612,14 @@ def _archived(path: Optional[str], job, describe=lambda result: ""):
     return result
 
 
+def _existing_ledger(path: str) -> RunLedger:
+    """The ledger at ``path`` for a command that reads or prunes one: a
+    missing file is an error, never a fresh empty ledger left behind."""
+    if not os.path.exists(path):
+        raise ReproError(f"no such ledger: {path}")
+    return RunLedger(path)
+
+
 def _single_run_instance(args: argparse.Namespace):
     """``(workflow, budget)`` of a ``trace`` or ``profile`` run, from the
     flags of :func:`_add_single_run_flags`, on the paper's platform."""
@@ -875,7 +884,7 @@ def _run_slo(args: argparse.Namespace) -> int:
     else:
         from .obs.slo import report_from_rows
 
-        with RunLedger(args.db) as ledger:
+        with _existing_ledger(args.db) as ledger:
             rows = ledger.runs(source="service", limit=args.limit)
         if not rows:
             raise ReproError(f"no service rows in {args.db}")
@@ -1051,7 +1060,7 @@ def _run_ledger_sweep(args: argparse.Namespace) -> int:
 
 def _run_ledger_list(args: argparse.Namespace) -> int:
     """``ledger list``: the newest archived runs, as a table or CSV."""
-    with RunLedger(args.db) as ledger:
+    with _existing_ledger(args.db) as ledger:
         rows = ledger.runs(
             algorithm=args.algorithm, workflow=args.workflow,
             source=args.source, limit=args.limit,
@@ -1080,7 +1089,7 @@ def _run_ledger_list(args: argparse.Namespace) -> int:
 
 def _run_ledger_show(args: argparse.Namespace) -> int:
     """``ledger show``: one archived run, as JSON."""
-    with RunLedger(args.db) as ledger:
+    with _existing_ledger(args.db) as ledger:
         try:
             row = ledger.run(args.run_id)
         except KeyError as exc:
@@ -1091,7 +1100,7 @@ def _run_ledger_show(args: argparse.Namespace) -> int:
 
 def _run_ledger_compare(args: argparse.Namespace) -> int:
     """``ledger compare``: per-group means."""
-    with RunLedger(args.db) as ledger:
+    with _existing_ledger(args.db) as ledger:
         stats = ledger.group_stats(latest_per_group=args.latest)
     print(f"{'group':<40s} {'n':>4s} {'makespan':>10s} "
           f"{'cost':>10s} {'success':>8s}")
@@ -1110,7 +1119,7 @@ def _run_ledger_baseline(args: argparse.Namespace) -> int:
     """``ledger baseline``: fold the ledger into a BENCH-style document."""
     from .obs.ledger import baseline_from_ledger, load_baseline_from_ledger
 
-    with RunLedger(args.db) as ledger:
+    with _existing_ledger(args.db) as ledger:
         baseline = baseline_from_ledger(ledger, latest_per_group=args.latest)
         load_baseline = load_baseline_from_ledger(
             ledger, latest_per_group=args.latest
@@ -1134,7 +1143,7 @@ def _run_ledger_prune(args: argparse.Namespace) -> int:
     """``ledger prune``: delete old rows to keep the database bounded."""
     if args.max_rows is None and args.max_age_days is None:
         raise ReproError("pass --max-rows and/or --max-age-days")
-    with RunLedger(args.db) as ledger:
+    with _existing_ledger(args.db) as ledger:
         deleted = ledger.prune(
             max_rows=args.max_rows, max_age_days=args.max_age_days
         )
@@ -1147,7 +1156,7 @@ def _run_ledger_estimate_error(args: argparse.Namespace) -> int:
     """``ledger estimate-error``: pre-admission estimate accuracy."""
     from .admission import estimate_error_report
 
-    with RunLedger(args.db) as ledger:
+    with _existing_ledger(args.db) as ledger:
         report = estimate_error_report(ledger, limit=args.limit)
     if args.json:
         _print_json(report)
@@ -1208,7 +1217,7 @@ def _run_ledger_regress(args: argparse.Namespace) -> int:
         )),
     )
     reports, errors = [], []
-    with RunLedger(args.db) as ledger:
+    with _existing_ledger(args.db) as ledger:
         for extract, compare in gates:
             try:
                 baseline = extract(document)
@@ -1355,7 +1364,7 @@ def _run_load_report(args: argparse.Namespace) -> int:
     """``load report``: archived load runs as a standalone HTML page."""
     from .loadgen import write_load_report
 
-    with RunLedger(args.db) as ledger:
+    with _existing_ledger(args.db) as ledger:
         if args.label:
             rows = []
             for label in args.label:

@@ -128,6 +128,8 @@ class TestRegressGate:
         run_sweep_into(db)
         base = self.make_baseline(tmp_path, db)
         empty = str(tmp_path / "empty.db")
+        with RunLedger(empty):  # an existing ledger that holds no runs
+            pass
         code = main(["ledger", "regress", "--db", empty, "--baseline", base])
         assert code == 2
         assert "no baseline group" in capsys.readouterr().err
@@ -171,3 +173,37 @@ class TestPrune:
         db = str(tmp_path / "runs.db")
         assert main(["ledger", "prune", "--db", db]) == 2
         assert "--max-rows" in capsys.readouterr().err
+
+
+class TestMissingLedger:
+    """Commands that only read (or prune) a ledger refuse a missing file
+    through the one exit-2 handler and leave nothing behind."""
+
+    @pytest.mark.parametrize("argv", [
+        ["ledger", "list"],
+        ["ledger", "show", "1"],
+        ["ledger", "compare"],
+        ["ledger", "regress", "--baseline", "{baseline}"],
+        ["ledger", "baseline"],
+        ["ledger", "estimate-error"],
+        ["ledger", "prune", "--max-rows", "10"],
+        ["load", "report", "--out", "{out}"],
+        ["slo"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_missing_db_exits_2_and_creates_nothing(self, tmp_path, capsys,
+                                                     argv):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text("{}")
+        out = tmp_path / "report.html"
+        missing = tmp_path / "missing.db"
+        argv = [a.format(baseline=baseline, out=out) for a in argv]
+        assert main(argv + ["--db", str(missing)]) == 2
+        assert capsys.readouterr().err == f"error: no such ledger: {missing}\n"
+        assert not missing.exists() and not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["baseline.json"]
+
+    def test_writers_still_create_the_ledger(self, tmp_path):
+        db = tmp_path / "fresh.db"
+        assert run_sweep_into(str(db)) == 0
+        assert db.exists()
+        assert main(["ledger", "list", "--db", str(db)]) == 0

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SimulationError
 from repro.simulation.bandwidth import _EPS_BYTES, _EPS_TIME, FlowPool
 
+from .reshare_pool import ReshareFlowPool
+
 
 class TestInfiniteCapacity:
     def test_single_flow_at_cap(self):
@@ -235,3 +237,78 @@ class TestHeapProperties:
         assert set(reported) == set(range(n))
         for i in range(n):
             assert reported[i] == pytest.approx(expected[i], rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Differential: class counters against re-sharing every flow
+# ---------------------------------------------------------------------------
+
+_CAPACITY = st.floats(min_value=1.0, max_value=1e9)
+_REL = 1e-12
+
+
+def _close(a, b):
+    return a == b or abs(a - b) <= _REL * max(abs(a), abs(b))
+
+
+def _drive(ops, capacity, cap_of=lambda cap: cap):
+    """Run ``ops`` on the pool under test and on the reference, in step.
+
+    Both pools must report the same flows, in the same order, at the same
+    times, and agree on the next completion within ``_REL``; a flow
+    started on an idle pool has its finish equal to the bit. Each start
+    tags the flow with a fresh instance number, so a cancelled flow whose
+    id is reused and whose stale entry surfaces would be caught.
+    """
+    pool, ref = FlowPool(capacity), ReshareFlowPool(capacity)
+    live = {}  # flow id -> instance number
+    instances = itertools.count()
+
+    def step(t):
+        done = pool.advance(t)
+        assert done == ref.advance(t)
+        for fid, k in done:
+            assert live.pop(fid) == k  # never a cancelled earlier instance
+        assert len(pool) == len(ref) == len(live)
+        return done
+
+    def due():
+        t, t_ref = pool.next_completion(), ref.next_completion()
+        assert _close(t, t_ref), (t, t_ref)
+        return t_ref
+
+    for op in ops:
+        if op[0] == "start":
+            _, fid, nbytes, cap = op
+            if fid in live:
+                continue
+            idle = not ref
+            k = live[fid] = next(instances)
+            pool.start(fid, nbytes, cap_of(cap), payload=k)
+            ref.start(fid, nbytes, cap_of(cap), payload=k)
+            if idle:  # nothing carried over from an earlier busy spell
+                assert pool.next_completion() == ref.next_completion()
+        elif op[0] == "cancel":
+            assert pool.cancel(op[1]) == ref.cancel(op[1]) == (op[1] in live)
+            live.pop(op[1], None)
+        else:
+            step(min(ref.now + op[1], due()))
+    while live:  # each advance to the next completion finishes a flow
+        assert step(due())
+    assert not pool and pool.next_completion() == math.inf
+
+
+class TestAgainstReshare:
+    """The class-counter pool against the re-sharing reference
+    (``reshare_pool.py``), on random start/cancel/advance sequences."""
+
+    @given(ops=_OPS, capacity=_CAPACITY)
+    @settings(max_examples=300, deadline=None)
+    def test_mixed_caps(self, ops, capacity):
+        _drive(ops, capacity)
+
+    @given(ops=_OPS, capacity=_CAPACITY,
+           cap=st.sampled_from([10.0, 100.0, 1.25e8]))
+    @settings(max_examples=300, deadline=None)
+    def test_equal_caps(self, ops, capacity, cap):
+        _drive(ops, capacity, cap_of=lambda _cap: cap)

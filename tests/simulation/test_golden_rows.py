@@ -26,13 +26,14 @@ the comparison is exact.
   other flow changes that, so nothing in the replay depends on how the
   pool tracks progress.
 * **20 MB/s datacenter**: makespan and cost within ``1e-12`` relative,
-  ``n_vms`` and ``within_budget`` exact. Under contention each flow's
-  progress is accumulated over the intervals between rate changes, and
-  the order of those float additions is an implementation detail: the
-  pool may settle bytes once per change of the flow set or once per
-  simulator event, and the two round differently in the last bits (a few
-  ulps, ~1e-16 relative). The tolerance admits that rounding and nothing
-  a real change of the model would produce.
+  ``n_vms`` and ``within_budget`` exact. Under contention the rows were
+  recorded from a pool that kept each flow's remaining bytes and
+  subtracted ``rate·dt`` from them at every change of the flow set. The
+  pool now keeps one served-bytes counter per cap class and reads a
+  flow's remaining bytes as ``virtual finish - counter``; the two round
+  differently in the last bits (a few ulps: the worst row moves by
+  ~6e-16 relative, most stay bit-equal). The tolerance admits that
+  rounding and nothing a real change of the model would produce.
 """
 
 import math
