@@ -11,7 +11,8 @@ Contract checks (any violation exits non-zero):
    ``n_reassignments >= 1``) and still be bit-identical to serial.
 3. **Service health** — a cluster-backed :class:`SchedulingService`
    answers a schedule request and reports ``executor="cluster"`` with
-   the live node count on ``/v1/healthz``.
+   the live node count on ``/v1/healthz``; with ``max_workers=4``, four
+   concurrent jobs sharing the one pool all finish.
 
 The JSON report doubles as the ``BENCH_PR10.json`` payload: a
 ``cluster_gate`` section with the measured numbers (throughput is
@@ -155,9 +156,8 @@ def check_kill_node(failures):
             dispatched_to = []
             fired = threading.Event()
 
-            def hooked(fn, items, index, node, state, trace_ctx):
-                sent = original_send(fn, items, index, node, state,
-                                     trace_ctx)
+            def hooked(fn, item, node, trace_ctx):
+                sent = original_send(fn, item, node, trace_ctx)
                 if sent and not fired.is_set():
                     if node.address not in dispatched_to:
                         dispatched_to.append(node.address)
@@ -224,10 +224,30 @@ def check_service_health(failures):
                 f"healthz worker_count is {health.get('worker_count')!r}, "
                 "wanted 2"
             )
+        with SchedulingService(
+            max_workers=4, cache_size=0, job_timeout=60,
+            executor="cluster", nodes=f"{addr_a},{addr_b}",
+        ) as svc:
+            ids = [
+                svc.submit({
+                    "workflow": {"family": "montage", "n_tasks": 20,
+                                 "rng": rng, "sigma_ratio": 0.5},
+                    "algorithm": "heft_budg",
+                    "budget": {"amount": 2.0},
+                })
+                for rng in range(4)
+            ]
+            svc.wait_all(timeout=120)
+            states = [svc.job(job_id).state for job_id in ids]
+        if states != ["done"] * 4:
+            failures.append(
+                f"four concurrent cluster jobs ended {states}, wanted done"
+            )
         return {
             "executor": health.get("executor"),
             "worker_count": health.get("worker_count"),
             "ready": health.get("ready"),
+            "concurrent_jobs_done": states.count("done"),
         }
     finally:
         reap(proc_a, proc_b)

@@ -8,7 +8,8 @@ its pools in three places: the shard step
 ``repro-exp trace``), ``run_sweep``'s point map, and the resilience
 sweeps' shared cell map. The service does not take this knob: it picks
 its backend with ``executor`` (``thread``/``process``/``cluster``) plus
-``nodes`` and builds its own pool. The knob is:
+``nodes``, and builds its pool by passing the matching
+:class:`BackendSpec` to :func:`make_pool`. The knob is:
 
 * an **integer** (or numeric string) — ``0``/``1`` serial, ``N`` a local
   :class:`~repro.parallel.WorkerPool` of ``N`` processes, negative all
@@ -21,8 +22,9 @@ its backend with ``executor`` (``thread``/``process``/``cluster``) plus
 :func:`parse_workers` normalises the knob into a :class:`BackendSpec`
 and raises :class:`~repro.errors.WorkerConfigError` on anything
 malformed; :func:`make_pool` turns a spec into the matching pool (or
-``None`` for serial). Both pool kinds expose the same ordered-``map``
-surface, so call sites stay backend-agnostic.
+``None`` for serial). Both pool kinds run the same ordered ``map``
+(:class:`~repro.parallel.pool.OrderedPool`), so call sites stay
+backend-agnostic.
 """
 
 from __future__ import annotations

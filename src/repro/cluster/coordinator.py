@@ -1,54 +1,68 @@
 """The coordinator side of the cluster fabric: :class:`ClusterPool`.
 
-``ClusterPool`` exposes the same ordered-``map`` surface as
-:class:`repro.parallel.WorkerPool`, so every call site that shards work
-over local processes can shard it over machines instead — and because
-the ShardPlan contract makes results a pure function of the shard (never
-of who computed it), the merged output is **bit-identical to serial no
-matter which node computed which shard, in what order, or how many times**.
+``ClusterPool`` is a transport under the ordered ``map`` loop of
+:class:`repro.parallel.pool.OrderedPool`, the loop
+:class:`repro.parallel.WorkerPool` runs too, so every call site that
+shards work over local processes can shard it over machines instead —
+and because the ShardPlan contract makes results a pure function of the
+shard (never of who computed it), the merged output is **bit-identical
+to serial no matter which node computed which shard, in what order, or
+how many times**. Each shard sent to a node gets its own
+:class:`~concurrent.futures.Future`; the node's receive thread resolves
+it from the ``result`` or task-``error`` frame, and each ``map`` call
+waits only on its own futures, so concurrent callers share one pool.
 
-PR 5's crash/respawn semantics generalise to node loss:
-
-* **liveness** — every worker streams heartbeats; a node whose
-  connection drops *or* whose heartbeats go stale past
-  ``heartbeat_timeout`` is declared lost (a wedged node is handled
-  exactly like a dead one);
-* **reassignment** — a lost node's in-flight shards are requeued onto
-  the survivors, one attempt each, up to ``max_retries`` per shard;
+* **liveness** — every worker streams heartbeats, and the receive socket
+  times out after ``heartbeat_timeout`` seconds of silence. A node is
+  lost on that timeout, on EOF, a ``bye``, a protocol error or a failed
+  send (a wedged node is handled exactly like a dead one), and the loss
+  fails all of its futures as lost;
+* **reassignment** — the loop charges each lost shard an attempt and
+  requeues it on the survivors, up to ``max_retries`` per shard;
   exhaustion raises :class:`~repro.errors.WorkerCrashError` with the
   affected shard indices, exactly like a local pool crash;
-* **work stealing** — once the queue drains, an idle node duplicates the
-  longest-in-flight shard of a slow peer (after ``steal_after_s``);
-  the first result wins and late duplicates are suppressed, which is
-  safe precisely because shard results are deterministic;
-* **bounded in-flight** — each node holds at most ``2 × slots`` shards,
-  so a thousand-cell sweep is never pickled onto the wire up front.
+* **routing and in-flight bound** — each shard goes to the live node
+  with the fewest shards in flight per slot; one ``map`` call keeps at
+  most ``2 ×`` the total advertised slots in flight. Nodes have no cap of
+  their own, so a call waits while others keep every node busy;
+* **work stealing** — once a call has nothing queued, an idle node
+  duplicates its oldest shard in flight past ``steal_after_s``; the first
+  result wins and the late duplicate is dropped, which is safe precisely
+  because shard results are deterministic.
 
 Observability: ``node.joined`` / ``node.lost`` / ``shard.reassigned``
 events on the wired :class:`~repro.obs.events.EventBus`,
 ``cluster_reassignments`` (+ the pool-parity ``worker_tasks`` /
 ``worker_task_seconds``) metrics, and worker span payloads merged into
-the caller's live trace via the PR 7 ``export_payload`` path.
+the caller's live trace via the ``export_payload`` path.
 """
 
 from __future__ import annotations
 
 import itertools
-import queue
 import socket
 import threading
 import time
-from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from collections import Counter
+from concurrent.futures import BrokenExecutor, Future
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..errors import ClusterError, ClusterProtocolError, WorkerCrashError
+from ..errors import ClusterError, ClusterProtocolError
 from ..obs.events import NODE_JOINED, NODE_LOST, SHARD_REASSIGNED
-from ..obs.tracing import get_tracer
+from ..parallel.pool import Inflight, OrderedPool
 from . import protocol
 
 __all__ = ["ClusterPool"]
 
 NodeSpec = Union[str, Tuple[str, int]]
+
+
+class _ShardFuture(Future):
+    """One shard in flight on a node; ``sent`` dates it for stealing."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.sent = time.monotonic()
 
 
 class _Node:
@@ -65,7 +79,8 @@ class _Node:
         self.last_seen = time.time()
         self.tasks = 0
         self.busy_s = 0.0
-        self.inflight: Set[int] = set()  # task_ids currently on this node
+        # task_id -> the shard's future, while it is in flight here
+        self.futures: Dict[int, _ShardFuture] = {}
         self._write_lock = threading.Lock()
 
     def send(self, frame: Dict[str, Any]) -> bool:
@@ -83,7 +98,7 @@ class _Node:
             pass
 
 
-class ClusterPool:
+class ClusterPool(OrderedPool):
     """Dispatch shards to remote ``repro-exp worker`` nodes.
 
     Parameters
@@ -97,7 +112,8 @@ class ClusterPool:
         Reassignment attempts per shard after node losses before
         :class:`~repro.errors.WorkerCrashError`.
     heartbeat_timeout:
-        Seconds of heartbeat silence after which a node is declared lost.
+        Seconds of silence on a node's connection after which it is
+        declared lost.
     steal_after_s:
         Age at which an idle node may duplicate a slow peer's oldest
         in-flight shard (``None`` disables work stealing).
@@ -122,22 +138,16 @@ class ClusterPool:
         events: Optional[Any] = None,
         token: Optional[str] = None,
     ) -> None:
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+        super().__init__(
+            max_retries=max_retries, metrics=metrics, events=events)
         specs = self._parse_specs(nodes)
         if not specs:
             raise ClusterError("ClusterPool needs at least one node")
-        self.max_retries = max_retries
         self.heartbeat_timeout = heartbeat_timeout
         self.steal_after_s = steal_after_s
-        self._metrics = metrics
-        self._events = events
+        if steal_after_s is not None:
+            self._poll_s = max(0.05, min(1.0, steal_after_s / 4.0))
         self._token = token
-        self._closed = False
-        self._lock = threading.Lock()
-        self._queue: "queue.Queue[Tuple[str, _Node, Optional[dict]]]" = (
-            queue.Queue()
-        )
         self._task_ids = itertools.count(1)
         self.n_crashes = 0  # node losses, for WorkerPool attr parity
         self.n_respawns = 0  # the pool never reconnects; documented
@@ -154,6 +164,7 @@ class ClusterPool:
         #: Total advertised slots — drives ShardPlan sizing, mirroring
         #: ``WorkerPool.workers``.
         self.workers = sum(node.slots for node in self._nodes)
+        self.max_inflight = 2 * self.workers
         for node in self._nodes:
             thread = threading.Thread(
                 target=self._receive_loop,
@@ -210,7 +221,9 @@ class ClusterPool:
             raise ClusterError(
                 f"handshake with node {address} failed: {exc}"
             ) from exc
-        sock.settimeout(None)
+        # Heartbeats arrive every heartbeat_s; silence past the timeout
+        # ends the receive loop, which declares the node lost.
+        sock.settimeout(self.heartbeat_timeout)
         node = _Node(
             address,
             sock,
@@ -227,24 +240,164 @@ class ClusterPool:
     # receiver threads
 
     def _receive_loop(self, node: _Node) -> None:
+        reason = "connection closed"
         while True:
             try:
                 frame = protocol.recv_frame(node.sock)
+            except socket.timeout:
+                reason = "heartbeat stale"
+                break
             except (ClusterProtocolError, OSError):
-                frame = None
+                break
             if frame is None or frame.get("type") == "bye":
-                # Mark the node dead right here so liveness surfaces
-                # (health endpoints, alive_count) see the loss even when
-                # no map() is draining the queue; the queued "lost" item
-                # still drives in-flight reclamation inside an active map.
-                self._mark_lost(node, "connection closed", None)
-                self._queue.put(("lost", node, None))
-                return
+                break
             node.last_seen = time.time()
             kind = frame.get("type")
+            if kind == "error" and (
+                frame.get("kind") == "protocol"
+                or frame.get("task_id") is None
+            ):
+                exc = protocol.decode_exception(frame.get("exception", {}))
+                reason = f"protocol error: {exc}"
+                break
             if kind in ("result", "error"):
-                self._queue.put((kind, node, frame))
+                self._resolve(node, frame)
             # heartbeats only refresh last_seen
+        self._mark_lost(node, reason)
+
+    def _resolve(self, node: _Node, frame: Dict[str, Any]) -> None:
+        """Settle the future of a ``result`` or task-``error`` frame."""
+        with self._lock:
+            future = node.futures.pop(frame.get("task_id"), None)
+        if frame["type"] == "error":
+            if future is not None:
+                future.set_exception(
+                    protocol.decode_exception(frame.get("exception", {})))
+            return
+        elapsed = float(frame.get("elapsed_s", 0.0))
+        node.tasks += 1
+        node.busy_s += elapsed
+        if future is None:
+            return  # its call has returned (a duplicate, or a timeout)
+        try:
+            value = protocol.decode_payload(frame["payload"])
+        except ClusterProtocolError as exc:
+            future.set_exception(exc)
+            return
+        future.set_result((value, node.pid, elapsed, frame.get("trace")))
+
+    def _mark_lost(self, node: _Node, reason: str) -> None:
+        """Declare ``node`` dead and fail its in-flight futures as lost."""
+        with self._lock:
+            if not node.alive:
+                return
+            node.alive = False
+            futures, node.futures = node.futures, {}
+            # close() says bye and the worker hangs up: a goodbye we
+            # initiated is never counted (or published) as a node loss.
+            counted = not self._closed
+            if counted:
+                self.n_crashes += 1
+        node.close()
+        if counted and self._events is not None:
+            self._events.publish(
+                NODE_LOST,
+                node=node.address,
+                pid=node.pid,
+                reason=reason,
+                inflight=len(futures),
+            )
+        lost = BrokenExecutor(f"node {node.address} lost: {reason}")
+        for future in futures.values():
+            future.set_exception(lost)
+
+    # ------------------------------------------------------------------
+    # transport hooks
+
+    def _submit(
+        self,
+        fn: Callable[[Any], Any],
+        item: Any,
+        trace_ctx: Optional[Dict[str, Any]],
+    ) -> Optional[Tuple[Future, _Node]]:
+        while True:
+            alive = self._alive()
+            if not alive:
+                return None
+            node = min(alive, key=lambda n: len(n.futures) / n.slots)
+            future = self._send_shard(fn, item, node, trace_ctx)
+            if future is not None:
+                return future, node
+
+    def _send_shard(
+        self,
+        fn: Callable[[Any], Any],
+        item: Any,
+        node: _Node,
+        trace_ctx: Optional[Dict[str, Any]],
+    ) -> Optional[_ShardFuture]:
+        """Send one shard to ``node``; ``None`` if the node is (now) lost.
+
+        The future is registered on the node before the frame goes out,
+        so a result can never arrive ahead of it.
+        """
+        task_id = next(self._task_ids)
+        frame = protocol.shard_frame(
+            task_id, protocol.encode_payload((fn, item)), trace=trace_ctx)
+        future = _ShardFuture()
+        with self._lock:
+            if not node.alive:
+                return None
+            node.futures[task_id] = future
+        if node.send(frame):
+            return future
+        self._mark_lost(node, "send failed")
+        return None
+
+    def _note_lost(
+        self, node: _Node, charged: Sequence[Tuple[int, int]]
+    ) -> str:
+        for index, attempt in charged:
+            if attempt > self.max_retries:
+                continue
+            with self._lock:
+                self.n_reassignments += 1
+            if self._metrics is not None:
+                self._metrics.incr("cluster_reassignments")
+            if self._events is not None:
+                self._events.publish(
+                    SHARD_REASSIGNED,
+                    shard_index=index,
+                    from_node=node.address,
+                    attempt=attempt,
+                )
+        return f"node {node.address} lost"
+
+    def _steal(
+        self,
+        fn: Callable[[Any], Any],
+        items: Sequence[Any],
+        inflight: Inflight,
+        trace_ctx: Optional[Dict[str, Any]],
+    ) -> List[Tuple[Future, int, _Node]]:
+        if self.steal_after_s is None:
+            return []
+        idle = [node for node in self._alive() if not node.futures]
+        if not idle:
+            return []
+        copies = Counter(index for index, _node in inflight.values())
+        stale_before = time.monotonic() - self.steal_after_s
+        oldest = sorted(
+            (future.sent, index)
+            for future, (index, _node) in inflight.items()
+            if copies[index] == 1 and future.sent <= stale_before
+        )
+        stolen = []
+        for node, (_sent, index) in zip(idle, oldest):
+            future = self._send_shard(fn, items[index], node, trace_ctx)
+            if future is not None:
+                stolen.append((future, index, node))
+        return stolen
 
     # ------------------------------------------------------------------
     # introspection
@@ -261,8 +414,8 @@ class ClusterPool:
         """Per-node snapshot keyed by ``host:port``.
 
         Mirrors :meth:`WorkerPool.worker_stats` (``tasks`` / ``busy_s`` /
-        ``last_seen``) and adds node identity: ``pid``, ``slots``,
-        ``alive``, ``inflight``.
+        ``last_seen`` / ``alive``) and adds node identity: ``pid``,
+        ``slots``, ``inflight``.
         """
         return {
             node.address: {
@@ -272,7 +425,7 @@ class ClusterPool:
                 "pid": node.pid,
                 "slots": node.slots,
                 "alive": node.alive,
-                "inflight": len(node.inflight),
+                "inflight": len(node.futures),
             }
             for node in self._nodes
         }
@@ -281,314 +434,16 @@ class ClusterPool:
     # lifecycle
 
     def close(self) -> None:
-        """Say goodbye to every node and drop the connections; idempotent."""
+        """Say goodbye to every node and drop the connections; idempotent.
+
+        Shards still in flight fail as lost, so a ``map`` running on
+        another thread ends with :class:`~repro.errors.WorkerCrashError`.
+        """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-        for node in getattr(self, "_nodes", []):
+        for node in self._nodes:
             if node.alive:
                 node.send(protocol.bye_frame("coordinator closing"))
-            node.alive = False
-            node.close()
-
-    def __enter__(self) -> "ClusterPool":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # execution
-
-    def run(
-        self,
-        fn: Callable[[Any], Any],
-        item: Any,
-        timeout: Optional[float] = None,
-    ) -> Any:
-        """Run one ``fn(item)`` on some node (single-item :meth:`map`)."""
-        (result,) = self.map(fn, [item], timeout=timeout)
-        return result
-
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        *,
-        timeout: Optional[float] = None,
-    ) -> List[Any]:
-        """Run ``fn`` over ``items`` across the cluster, results in order.
-
-        Exceptions raised by ``fn`` propagate unchanged — they are the
-        item's answer and are never retried; only node loss triggers
-        reassignment. The first result per item wins; duplicates from
-        stolen or reassigned dispatches are suppressed, so merges stay
-        bit-identical to serial.
-        """
-        if self._closed:
-            raise RuntimeError("ClusterPool is closed")
-        n_items = len(items)
-        if n_items == 0:
-            return []
-        state = _MapState(n_items)
-        deadline = None if timeout is None else time.monotonic() + timeout
-
-        parent_tracer = get_tracer()
-        trace_ctx: Optional[Dict[str, Any]] = None
-        merge_parent_id: Optional[int] = None
-        if parent_tracer.enabled:
-            trace_ctx = {"trace_id": parent_tracer.trace_id}
-            merge_parent_id = parent_tracer.current_span_id()
-
-        poll_s = max(0.05, min(1.0, self.heartbeat_timeout / 4.0))
-        while state.n_done < n_items:
-            alive = self._alive()
-            if not alive:
-                raise WorkerCrashError(
-                    "all cluster nodes lost; "
-                    f"{n_items - state.n_done} shard(s) unfinished",
-                    shard_indices=tuple(
-                        i for i in range(n_items) if not state.done[i]
-                    ),
-                )
-            self._dispatch(fn, items, state, alive, trace_ctx)
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TimeoutError(
-                        f"ClusterPool.map timed out with "
-                        f"{len(state.dispatches)} in-flight and "
-                        f"{len(state.pending)} queued items"
-                    )
-            try:
-                kind, node, frame = self._queue.get(
-                    timeout=poll_s if remaining is None
-                    else min(poll_s, remaining)
-                )
-            except queue.Empty:
-                self._check_heartbeats(state)
-                continue
-            if kind == "lost":
-                self._mark_lost(node, "connection closed", state)
-            elif kind == "result":
-                self._handle_result(
-                    node, frame, state, parent_tracer, merge_parent_id
-                )
-            elif kind == "error":
-                self._handle_error(node, frame, state)
-            self._check_heartbeats(state)
-        return state.results
-
-    # ------------------------------------------------------------------
-    # map internals
-
-    def _dispatch(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        state: "_MapState",
-        alive: List[_Node],
-        trace_ctx: Optional[Dict[str, Any]],
-    ) -> None:
-        for node in alive:
-            while state.pending and len(node.inflight) < 2 * node.slots:
-                index = state.pending.popleft()
-                if state.done[index]:
-                    continue
-                if not self._send_shard(
-                    fn, items, index, node, state, trace_ctx
-                ):
-                    state.pending.appendleft(index)
-                    self._mark_lost(node, "send failed", state)
-                    break
-        if not state.pending and self.steal_after_s is not None:
-            self._steal(fn, items, state, trace_ctx)
-
-    def _send_shard(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        index: int,
-        node: _Node,
-        state: "_MapState",
-        trace_ctx: Optional[Dict[str, Any]],
-    ) -> bool:
-        payload = state.payloads.get(index)
-        if payload is None:
-            payload = protocol.encode_payload((fn, items[index]))
-            state.payloads[index] = payload
-        task_id = next(self._task_ids)
-        frame = protocol.shard_frame(task_id, payload, trace=trace_ctx)
-        if not node.send(frame):
-            return False
-        node.inflight.add(task_id)
-        state.dispatches[task_id] = (index, node, time.monotonic())
-        state.active_by_index.setdefault(index, set()).add(task_id)
-        state.nodes_by_index.setdefault(index, set()).add(node.address)
-        return True
-
-    def _steal(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        state: "_MapState",
-        trace_ctx: Optional[Dict[str, Any]],
-    ) -> None:
-        """Duplicate the oldest slow shard onto an idle node."""
-        now = time.monotonic()
-        idle = [
-            node for node in self._alive() if not node.inflight
-        ]
-        if not idle:
-            return
-        candidates = sorted(
-            (
-                (sent, index)
-                for task_id, (index, _node, sent) in state.dispatches.items()
-                if not state.done[index]
-                and len(state.active_by_index.get(index, ())) == 1
-                and now - sent >= (self.steal_after_s or 0.0)
-            ),
-        )
-        for node in idle:
-            for sent, index in candidates:
-                if node.address in state.nodes_by_index.get(index, ()):
-                    continue
-                if len(state.active_by_index.get(index, ())) != 1:
-                    continue
-                self._send_shard(fn, items, index, node, state, trace_ctx)
-                break
-
-    def _handle_result(
-        self,
-        node: _Node,
-        frame: Dict[str, Any],
-        state: "_MapState",
-        parent_tracer: Any,
-        merge_parent_id: Optional[int],
-    ) -> None:
-        task_id = frame.get("task_id")
-        node.inflight.discard(task_id)
-        entry = state.dispatches.pop(task_id, None)
-        if entry is None:
-            return  # stale frame from an earlier map / late duplicate
-        index, _node, _sent = entry
-        state.active_by_index.get(index, set()).discard(task_id)
-        elapsed = float(frame.get("elapsed_s", 0.0))
-        node.tasks += 1
-        node.busy_s += elapsed
-        if self._metrics is not None:
-            self._metrics.incr("worker_tasks")
-            self._metrics.observe("worker_task_seconds", elapsed)
-        if state.done[index]:
-            return  # a duplicate finished second: suppressed
-        trace = frame.get("trace")
-        if trace is not None and parent_tracer.enabled:
-            parent_tracer.merge_payload(
-                trace, parent_id=merge_parent_id, worker_pid=node.pid
-            )
-        state.results[index] = protocol.decode_payload(frame["payload"])
-        state.done[index] = True
-        state.n_done += 1
-
-    def _handle_error(
-        self, node: _Node, frame: Dict[str, Any], state: "_MapState"
-    ) -> None:
-        task_id = frame.get("task_id")
-        exc = protocol.decode_exception(frame.get("exception", {}))
-        if frame.get("kind") == "protocol" or task_id is None:
-            self._mark_lost(node, f"protocol error: {exc}", state)
-            return
-        node.inflight.discard(task_id)
-        entry = state.dispatches.pop(task_id, None)
-        if entry is None:
-            return
-        index, _node, _sent = entry
-        state.active_by_index.get(index, set()).discard(task_id)
-        if state.done[index]:
-            return
-        # fn raised: that is the item's answer, never retried.
-        raise exc
-
-    def _mark_lost(
-        self, node: _Node, reason: str, state: Optional["_MapState"]
-    ) -> None:
-        # close() sends bye and the worker hangs up, so the receive
-        # thread's EOF races the alive=False flip below: a goodbye we
-        # initiated must never be counted (or published) as a node loss.
-        newly_lost = node.alive and not self._closed
-        if newly_lost:
-            node.alive = False
-            node.close()
-            self.n_crashes += 1
-            if self._events is not None:
-                self._events.publish(
-                    NODE_LOST,
-                    node=node.address,
-                    pid=node.pid,
-                    reason=reason,
-                    inflight=len(node.inflight),
-                )
-        if state is None:
-            return
-        orphans = [
-            task_id
-            for task_id, (_i, owner, _sent) in state.dispatches.items()
-            if owner is node
-        ]
-        exhausted: List[int] = []
-        for task_id in orphans:
-            index, _owner, _sent = state.dispatches.pop(task_id)
-            node.inflight.discard(task_id)
-            active = state.active_by_index.get(index, set())
-            active.discard(task_id)
-            if state.done[index] or active:
-                continue  # answered, or a duplicate is still running
-            state.attempts[index] += 1
-            if state.attempts[index] > self.max_retries:
-                exhausted.append(index)
-                continue
-            state.pending.append(index)
-            self.n_reassignments += 1
-            if self._metrics is not None:
-                self._metrics.incr("cluster_reassignments")
-            if self._events is not None:
-                self._events.publish(
-                    SHARD_REASSIGNED,
-                    shard_index=index,
-                    from_node=node.address,
-                    attempt=state.attempts[index],
-                )
-        if exhausted:
-            raise WorkerCrashError(
-                f"node {node.address} lost and {len(exhausted)} shard(s) "
-                f"exhausted {self.max_retries} retries",
-                shard_indices=tuple(sorted(exhausted)),
-            )
-
-    def _check_heartbeats(self, state: "_MapState") -> None:
-        stale_before = time.time() - self.heartbeat_timeout
-        for node in self._nodes:
-            if node.alive and node.last_seen < stale_before:
-                self._mark_lost(node, "heartbeat stale", state)
-
-
-class _MapState:
-    """Book-keeping of one :meth:`ClusterPool.map` call (internal)."""
-
-    def __init__(self, n_items: int) -> None:
-        self.results: List[Any] = [None] * n_items
-        self.done = [False] * n_items
-        self.attempts = [0] * n_items
-        self.pending: deque = deque(range(n_items))
-        self.n_done = 0
-        # task_id -> (item index, node, dispatch time)
-        self.dispatches: Dict[int, Tuple[int, _Node, float]] = {}
-        # item index -> task_ids currently in flight for it
-        self.active_by_index: Dict[int, Set[int]] = {}
-        # item index -> node addresses that ever held it (steal targets)
-        self.nodes_by_index: Dict[int, Set[str]] = {}
-        # item index -> encoded payload (reused on reassignment)
-        self.payloads: Dict[int, str] = {}
+            self._mark_lost(node, "coordinator closing")

@@ -30,25 +30,18 @@ Trust model: pickle over a socket means **run workers only on hosts and
 networks you trust** — the optional shared ``token`` in the handshake
 rejects accidental cross-talk, it is not an authentication scheme. See
 ``docs/CLUSTER.md``.
-
-:class:`~repro.parallel.Shard` and :class:`~repro.parallel.ShardStats`
-additionally get a pure-JSON wire form (:func:`shard_to_wire`,
-:func:`stats_to_wire`) so heartbeat/result summaries and external tools
-can speak the protocol without unpickling anything.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-import math
 import pickle
 import socket
 import struct
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ClusterProtocolError
-from ..parallel import Shard, ShardStats
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -67,10 +60,6 @@ __all__ = [
     "heartbeat_frame",
     "bye_frame",
     "check_handshake",
-    "shard_to_wire",
-    "shard_from_wire",
-    "stats_to_wire",
-    "stats_from_wire",
     "parse_address",
 ]
 
@@ -309,61 +298,6 @@ def check_handshake(
         if frame.get("token") != token:
             raise ClusterProtocolError("handshake token mismatch")
     return frame
-
-
-# ----------------------------------------------------------------------
-# pure-JSON wire forms of the ShardPlan vocabulary
-
-
-def shard_to_wire(shard: Shard) -> Dict[str, int]:
-    """JSON form of one contiguous shard."""
-    return {"index": shard.index, "start": shard.start, "stop": shard.stop}
-
-
-def shard_from_wire(doc: Dict[str, int]) -> Shard:
-    """Inverse of :func:`shard_to_wire`."""
-    try:
-        return Shard(
-            index=int(doc["index"]),
-            start=int(doc["start"]),
-            stop=int(doc["stop"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ClusterProtocolError(f"bad shard document: {doc!r}") from exc
-
-
-def stats_to_wire(stats: ShardStats) -> Dict[str, Any]:
-    """JSON form of mergeable shard statistics.
-
-    The empty sentinels (``minimum = +inf`` / ``maximum = -inf``) become
-    ``null`` so the document is strict JSON; finite floats round-trip
-    exactly (``json`` emits shortest-repr doubles).
-    """
-    return {
-        "n": stats.n,
-        "total": stats.total,
-        "total_sq": stats.total_sq,
-        "minimum": None if math.isinf(stats.minimum) else stats.minimum,
-        "maximum": None if math.isinf(stats.maximum) else stats.maximum,
-        "values": list(stats.values),
-    }
-
-
-def stats_from_wire(doc: Dict[str, Any]) -> ShardStats:
-    """Inverse of :func:`stats_to_wire` (bit-exact for finite samples)."""
-    try:
-        minimum = doc["minimum"]
-        maximum = doc["maximum"]
-        return ShardStats(
-            n=int(doc["n"]),
-            total=float(doc["total"]),
-            total_sq=float(doc["total_sq"]),
-            minimum=math.inf if minimum is None else float(minimum),
-            maximum=-math.inf if maximum is None else float(maximum),
-            values=[float(v) for v in doc["values"]],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ClusterProtocolError(f"bad stats document: {doc!r}") from exc
 
 
 def parse_address(spec: str) -> Tuple[str, int]:

@@ -1,24 +1,27 @@
 """The long-lived cluster worker node (``repro-exp worker``).
 
 A :class:`ClusterWorker` binds a listening socket and serves shard frames
-from any number of coordinator connections. Execution follows the PR 5
-fork-hygiene rules, generalised to a freestanding process:
+from any number of coordinator connections. Execution follows the same
+rules as a :class:`repro.parallel.WorkerPool` process, with the same
+helpers from :mod:`repro.parallel.pool`:
 
-* on startup the process-global ledger and tracer are reset to their
-  null implementations — a worker node computes and returns values, the
-  coordinator records, in serial order;
-* a shard that arrives with a ``trace`` context runs under a worker-local
+* on startup :func:`~repro.parallel.pool.reset_process_globals` resets
+  the process-global ledger and tracer to their null implementations — a
+  worker node computes and returns values, the coordinator records, in
+  serial order;
+* each shard runs through :func:`~repro.parallel.pool.run_item`: one that
+  arrives with a ``trace`` context runs under a worker-local
   :class:`~repro.obs.tracing.Tracer` sharing the coordinator's
-  ``trace_id``; its span/counter payload rides back in the ``result``
-  frame so the coordinator can merge it into one request trace
-  (the PR 7 ``export_payload`` path, across machines instead of forks);
-* untraced shards pay nothing.
+  ``trace_id``, and its span/counter payload rides back in the ``result``
+  frame so the coordinator can merge it into one request trace; untraced
+  shards pay nothing.
 
 Each connection gets a heartbeat thread streaming liveness + cumulative
 load every ``heartbeat_s`` seconds; the coordinator declares a node lost
-when heartbeats go stale, so a wedged worker is handled exactly like a
-dead one. ``slots`` is the node's advertised parallelism: shards execute
-on a thread pool of that size (the default of 1 serialises execution —
+when its connection stays silent past the coordinator's heartbeat
+timeout, so a wedged worker is handled exactly like a dead one.
+``slots`` is the node's advertised parallelism: shards execute on a
+thread pool of that size (the default of 1 serialises execution —
 shard functions are CPU-bound Python, so scale out with more *worker
 processes*, not more slots).
 """
@@ -28,45 +31,14 @@ from __future__ import annotations
 import os
 import socket
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ClusterProtocolError
-from ..obs.tracing import Tracer, use_tracer
+from ..parallel.pool import reset_process_globals, run_item
 from . import protocol
 
 __all__ = ["ClusterWorker"]
-
-
-def _reset_process_globals() -> None:
-    """Apply the fork-hygiene rules to this freestanding process."""
-    from ..obs.ledger import set_ledger
-    from ..obs.tracing import set_tracer
-
-    set_ledger(None)
-    set_tracer(None)
-
-
-def _execute_shard(
-    frame: Dict[str, Any],
-) -> Tuple[str, float, Optional[Dict[str, Any]]]:
-    """Run one shard frame; returns (result payload, elapsed, trace)."""
-    fn, item = protocol.decode_payload(frame["payload"])
-    trace_ctx = frame.get("trace")
-    start = time.perf_counter()
-    if trace_ctx is None:
-        result = fn(item)
-        return (
-            protocol.encode_payload(result),
-            time.perf_counter() - start,
-            None,
-        )
-    tracer = Tracer(trace_id=trace_ctx.get("trace_id"))
-    with use_tracer(tracer):
-        result = fn(item)
-    elapsed = time.perf_counter() - start
-    return protocol.encode_payload(result), elapsed, tracer.export_payload()
 
 
 class ClusterWorker:
@@ -127,7 +99,7 @@ class ClusterWorker:
 
     def start(self) -> Tuple[str, int]:
         """Bind, listen, and start accepting connections; returns address."""
-        _reset_process_globals()
+        reset_process_globals()
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self._host, self._port))
@@ -308,7 +280,9 @@ class ClusterWorker:
     def _run_shard(self, frame: Dict[str, Any], send: Any) -> None:
         task_id = frame.get("task_id")
         try:
-            payload, elapsed, trace = _execute_shard(frame)
+            fn, item = protocol.decode_payload(frame["payload"])
+            result, elapsed, trace = run_item(fn, item, frame.get("trace"))
+            payload = protocol.encode_payload(result)
         except BaseException as exc:  # noqa: BLE001 - shipped to caller
             with self._lock:
                 self.n_inflight -= 1

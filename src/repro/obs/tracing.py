@@ -261,8 +261,8 @@ class Tracer:
     def export_payload(self) -> Dict[str, Any]:
         """Picklable snapshot shipped across the process boundary.
 
-        Returned by worker processes next to their shard results (see
-        ``repro.parallel.pool._invoke``) and folded into the parent
+        Returned by workers next to their shard results (see
+        ``repro.parallel.pool.run_item``) and folded into the parent
         with :meth:`merge_payload`. Decision records deliberately stay
         worker-local — they can number in the millions and the decision
         log is a per-schedule artifact, not a per-request one.

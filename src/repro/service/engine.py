@@ -54,7 +54,7 @@ from ..obs.ledger import RunRow, get_ledger
 from ..obs.slo import SLOMonitor, SLOTarget
 from ..obs.stages import StageTimings
 from ..obs.tracing import get_tracer
-from ..parallel import ShardStats, WorkerPool
+from ..parallel import ShardStats
 from ..scheduling.registry import available_schedulers, make_scheduler
 from ..simulation.executor import execute_schedule, sample_weights
 from .cache import LRUCache
@@ -400,22 +400,24 @@ class SchedulingService:
         self.max_workers = max_workers
         self.executor = executor
         self._proc_pool: Optional[Any] = None
+        if executor != "thread":
+            # Imported lazily so the light thread-executor path never
+            # touches the cluster fabric.
+            from ..cluster.backend import BackendSpec, make_pool
+
+            if isinstance(nodes, str):
+                nodes = [part for part in nodes.split(",") if part.strip()]
+            self._proc_pool = make_pool(
+                BackendSpec("process", n_workers=max_workers)
+                if executor == "process"
+                else BackendSpec("cluster", nodes=tuple(nodes)),
+                metrics=self.metrics, events=self.events,
+            )
         if executor == "process":
             # Fork the worker processes *now*, before the service's own
             # threads get busy — forking from a quiescent parent avoids
             # inheriting locks held mid-operation.
-            self._proc_pool = WorkerPool(
-                max_workers, metrics=self.metrics, events=self.events
-            )
             self._proc_pool.map(_warmup, list(range(max_workers)))
-        elif executor == "cluster":
-            # Imported lazily so the light thread-executor path never
-            # touches the cluster fabric.
-            from ..cluster import ClusterPool
-
-            self._proc_pool = ClusterPool(
-                nodes, metrics=self.metrics, events=self.events
-            )
         self._jobs: Dict[str, _Job] = {}
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
@@ -882,20 +884,19 @@ class SchedulingService:
         # so the configured size is the live count.
         worker_count = self.max_workers
         if self._proc_pool is not None:
-            # A lost node keeps its (dead) entry for observability; only
-            # workers still believed alive count toward readiness.
-            worker_stats = {
-                key: s for key, s in self._proc_pool.worker_stats().items()
-                if s.get("alive", True)
-            }
-            worker_count = len(worker_stats)
-            workers_alive = bool(worker_stats)
-            if worker_stats:
+            # A dead worker keeps its stats entry for observability; only
+            # live ones count. A process pool respawns its workers on the
+            # next job, so it stays ready between a crash and that job; a
+            # lost node never comes back.
+            worker_count = self._proc_pool.alive_count
+            workers_alive = worker_count > 0 or self.executor == "process"
+            live = [
+                s for s in self._proc_pool.worker_stats().values()
+                if s["alive"]
+            ]
+            if live:
                 now = time.time()
-                heartbeat_age = max(
-                    now - s.get("last_seen", now)
-                    for s in worker_stats.values()
-                )
+                heartbeat_age = max(now - s["last_seen"] for s in live)
         ledger_writable = (
             not self.ledger.enabled or self.ledger.writable()
         )

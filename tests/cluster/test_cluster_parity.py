@@ -131,8 +131,8 @@ class TestKillNodeParity:
                 dispatched_to = []
                 fired = threading.Event()
 
-                def hooked(fn, items, index, node, state, trace_ctx):
-                    sent = original(fn, items, index, node, state, trace_ctx)
+                def hooked(fn, item, node, trace_ctx):
+                    sent = original(fn, item, node, trace_ctx)
                     if sent and not fired.is_set():
                         if node.address not in dispatched_to:
                             dispatched_to.append(node.address)

@@ -1,5 +1,6 @@
 """ClusterPool over in-process workers: ordering, faults, reassignment."""
 
+import sys
 import threading
 import time
 
@@ -157,3 +158,67 @@ class TestStealing:
                 # duplicates (if any fired) were suppressed: every node
                 # still alive, nothing retried as a fault
                 assert pool.n_crashes == 0
+
+
+class TestConcurrentCallers:
+    """One pool, several threads: each call waits on its own futures."""
+
+    @staticmethod
+    def _map_in_threads(pool, fn, batches, timeout):
+        results, errors = {}, []
+
+        def call(key):
+            try:
+                results[key] = pool.map(fn, batches[key], timeout=timeout)
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=call, args=(key,)) for key in batches
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the callers finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=timeout + 10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        return results, errors
+
+    def test_four_threads_get_their_own_ordered_results(self, two_workers):
+        batches = {k: [10 * k + i for i in range(4)] for k in range(4)}
+        with ClusterPool(_addresses(*two_workers)) as pool:
+            results, errors = self._map_in_threads(
+                pool, _square, batches, timeout=10)
+        assert errors == []
+        assert results == {
+            k: [x * x for x in batch] for k, batch in batches.items()
+        }
+
+    def test_node_lost_under_two_calls_both_complete(self, two_workers):
+        a, b = two_workers
+        events = EventBus()
+        batches = {k: [100 * k + i for i in range(20)] for k in range(2)}
+        with ClusterPool(
+            _addresses(a, b), heartbeat_timeout=5.0, events=events
+        ) as pool:
+            killer = threading.Timer(0.3, b.close)
+            killer.start()
+            try:
+                results, errors = self._map_in_threads(
+                    pool, _slow_square, batches, timeout=30)
+            finally:
+                killer.cancel()
+            assert errors == []
+            assert results == {
+                k: [x * x for x in batch] for k, batch in batches.items()
+            }
+            assert pool.n_crashes == 1
+            assert pool.n_reassignments >= 1
+            # both callers' reassignments are counted, none lost
+            reassigned = events.history(types=[SHARD_REASSIGNED])
+            assert len(reassigned) == pool.n_reassignments
+            assert pool.alive_count == 1

@@ -1,6 +1,5 @@
 """Wire protocol: framing, payloads, handshakes, and exact roundtrips."""
 
-import json
 import math
 import socket
 
@@ -8,7 +7,6 @@ import pytest
 
 from repro.cluster import protocol
 from repro.errors import ClusterProtocolError, ReproError
-from repro.parallel import Shard, ShardPlan, ShardStats
 
 
 def test_frame_roundtrip_over_socketpair():
@@ -109,31 +107,6 @@ def test_handshake_wrong_type_and_eof_rejected():
         protocol.check_handshake(protocol.bye_frame(), expect="welcome")
     with pytest.raises(ClusterProtocolError, match="closed"):
         protocol.check_handshake(None, expect="welcome")
-
-
-def test_shard_wire_roundtrip():
-    plan = ShardPlan.plan(100, 7)
-    for shard in plan.shards:
-        doc = json.loads(json.dumps(protocol.shard_to_wire(shard)))
-        assert protocol.shard_from_wire(doc) == shard
-    with pytest.raises(ClusterProtocolError):
-        protocol.shard_from_wire({"index": 0})
-
-
-def test_stats_wire_roundtrip_is_bit_exact():
-    values = [0.1, -1.5e-17, 3.141592653589793, 2.0 ** -1074, 1e300]
-    stats = ShardStats.of(values)
-    doc = json.loads(json.dumps(protocol.stats_to_wire(stats)))
-    back = protocol.stats_from_wire(doc)
-    assert back == stats  # dataclass eq: every field, bit for bit
-
-
-def test_stats_wire_roundtrip_empty_uses_null_sentinels():
-    doc = protocol.stats_to_wire(ShardStats())
-    assert doc["minimum"] is None and doc["maximum"] is None
-    back = protocol.stats_from_wire(json.loads(json.dumps(doc)))
-    assert back == ShardStats()
-    assert back.minimum == math.inf and back.maximum == -math.inf
 
 
 def test_parse_address():

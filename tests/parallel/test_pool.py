@@ -6,6 +6,7 @@ retries the affected shards, emits the ``worker.crashed`` event, and
 keeps results identical to the serial run.
 """
 
+import multiprocessing
 import os
 import threading
 import time
@@ -157,6 +158,22 @@ class TestCrashRecovery:
         assert info.value.shard_indices == (0,)
         # one initial attempt + one retry, each a crash
         assert pool.n_crashes == 2
+
+    def test_worker_stats_mark_dead_pids_and_alive_count_live_ones(self):
+        with WorkerPool(2, max_retries=1) as pool:
+            pool.map(square, list(range(8)))
+            first = set(pool.worker_stats())
+            with pytest.raises(WorkerCrashError):
+                pool.map(always_crash, [0])
+            pool.map(square, list(range(8)))
+            stats = pool.worker_stats()
+            assert pool.alive_count == 2
+            # every pid that ever ran an item keeps its entry
+            assert first <= set(stats)
+            assert not any(stats[pid]["alive"] for pid in first)
+            live = {p.pid for p in multiprocessing.active_children()}
+            marked = {pid for pid, s in stats.items() if s["alive"]}
+            assert marked and marked <= live
 
     def test_worker_crash_error_is_transient_not_repro(self):
         from repro.errors import ReproError

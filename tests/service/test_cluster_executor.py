@@ -9,6 +9,7 @@ fixture is cheap.
 """
 
 import json
+import time
 import urllib.request
 
 import pytest
@@ -63,6 +64,26 @@ class TestClusterMode:
             assert len(stats["workers"]) == 2
         with SchedulingService(max_workers=1, cache_size=0) as svc:
             assert svc.stats()["cluster_nodes"] is None
+
+
+class TestConcurrentJobs:
+    def test_four_concurrent_jobs_finish_well_inside_job_timeout(
+        self, nodes
+    ):
+        # Four job threads share one ClusterPool, each waiting on its
+        # own job's result.
+        with SchedulingService(max_workers=4, cache_size=0, job_timeout=20,
+                               executor="cluster", nodes=nodes) as svc:
+            started = time.monotonic()
+            ids = []
+            for rng in range(4):
+                request = request_dict(rng=rng)
+                request["workflow"]["n_tasks"] = 20
+                ids.append(svc.submit(request))
+            for job_id in ids:
+                svc.result(job_id, timeout=60)
+            assert [svc.job(j).state for j in ids] == ["done"] * 4
+            assert time.monotonic() - started < 10
 
 
 class TestHealth:

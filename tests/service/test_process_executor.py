@@ -19,7 +19,11 @@ import urllib.request
 
 import pytest
 
-from repro.errors import JobTimeoutError, ServiceOverloadedError
+from repro.errors import (
+    JobTimeoutError,
+    ServiceOverloadedError,
+    WorkerCrashError,
+)
 from repro.obs.events import EventBus
 from repro.service import SchedulingService
 from repro.service.http import start_gateway
@@ -79,6 +83,27 @@ class TestProcessMode:
 
         with pytest.raises(ServiceError, match="unknown executor"):
             SchedulingService(executor="fiber")
+
+
+class TestHealth:
+    """``/v1/healthz`` counts the pool's live worker processes."""
+
+    def test_worker_count_is_live_processes(self):
+        with SchedulingService(max_workers=2, cache_size=0,
+                               executor="process") as svc:
+            # one pid may have run both warm-ups; both processes count
+            assert svc.health()["worker_count"] == 2
+            pool = svc._proc_pool
+            before = set(pool.worker_stats())
+            with pytest.raises(WorkerCrashError):
+                pool.map(os._exit, [1])
+            pool.map(abs, [-1, -2, -3, -4])
+            health = svc.health()
+            assert health["worker_count"] == 2
+            assert health["ready"] is True
+            stats = pool.worker_stats()
+            assert not any(stats[pid]["alive"] for pid in before)
+            assert sum(s["alive"] for s in stats.values()) <= 2
 
 
 class TestBackpressure:
