@@ -14,32 +14,28 @@ overlapping replication bit-for-bit, and a batched response is
 byte-identical to its unbatched equivalent (the wall-clock ``elapsed_s``
 field excepted, by definition).
 
-The batcher itself is pure orchestration — it owns two single-flight
-:class:`~repro.service.cache.LRUCache` layers (family → base bundle,
-``(family, seed)`` → replication record) and three caller-supplied
-callables:
+The batcher itself is pure orchestration: two single-flight
+:class:`~repro.service.cache.LRUCache` layers, family → base bundle and
+``(family, seed)`` → replication record. The caller passes the family's
+two compute callables with each request:
 
-``compute_base(request)``
+``plan(request)``
     Resolve + schedule once for the whole family; returns an opaque
-    bundle (the engine packs workflow/platform/schedule/budget plus the
-    response template).
-``compute_rep(base, seed)``
+    bundle (the engine packs workflow, platform, budget and schedule).
+``replicate(base, seed)``
     One evaluation replication from the bundle; must be a pure function
     of ``(family, seed)``.
-``assemble(base, reps, request)``
-    Fold the bundle and this request's replication list into the final
-    response.
 
-Keeping the callables outside means the engine depends on the batcher,
-not the other way around, and the batcher is testable with toy
-functions.
+:meth:`FamilyBatcher.compute` returns ``(base, reps)`` and the caller
+folds them into its response, so the engine depends on the batcher, not
+the other way around, and the batcher is testable with toy functions.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 from ..service.cache import LRUCache
 from ..service.spec import ScheduleRequest
@@ -52,8 +48,6 @@ class FamilyBatcher:
 
     Parameters
     ----------
-    compute_base, compute_rep, assemble:
-        The three compute callables (see the module docstring).
     max_families:
         Base-bundle cache capacity (a bundle holds a resolved workflow
         and schedule — heavier than a response, so keep this modest).
@@ -65,17 +59,11 @@ class FamilyBatcher:
 
     def __init__(
         self,
-        compute_base: Callable[[ScheduleRequest], Any],
-        compute_rep: Callable[[Any, int], Dict[str, Any]],
-        assemble: Callable[[Any, List[Dict[str, Any]], ScheduleRequest], Any],
         *,
         max_families: int = 64,
         max_reps: int = 8192,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self._compute_base = compute_base
-        self._compute_rep = compute_rep
-        self._assemble = assemble
         self._bases = LRUCache(max_families, clock=clock)
         self._reps = LRUCache(max_reps, clock=clock)
         self._lock = threading.Lock()
@@ -84,17 +72,22 @@ class FamilyBatcher:
         self._reps_shared = 0
         self._reps_computed = 0
 
-    def compute(self, request: ScheduleRequest) -> Any:
+    def compute(
+        self,
+        request: ScheduleRequest,
+        plan: Callable[[ScheduleRequest], Any],
+        replicate: Callable[[Any, int], Dict[str, Any]],
+    ) -> Tuple[Any, List[Dict[str, Any]]]:
         """Serve ``request`` through the family/seed caches.
 
-        The schedule is computed at most once per family (concurrent
-        first requests coalesce single-flight), each replication at most
-        once per ``(family, seed)``; the per-request response is then
-        assembled from shared parts.
+        Returns ``(base, reps)``: the family's base bundle, from ``plan``
+        at most once per family (concurrent first requests coalesce
+        single-flight), and this request's replication records in seed
+        order, from ``replicate`` at most once per ``(family, seed)``.
         """
         family = request.family_key()
         base, base_shared = self._bases.get_or_compute(
-            family, lambda: self._compute_base(request)
+            family, lambda: plan(request)
         )
         spec = request.evaluation
         reps: List[Dict[str, Any]] = []
@@ -102,7 +95,7 @@ class FamilyBatcher:
         for i in range(spec.n_reps):
             seed = spec.seed + i
             rep, was_cached = self._reps.get_or_compute(
-                (family, seed), lambda s=seed: self._compute_rep(base, s)
+                (family, seed), lambda s=seed: replicate(base, s)
             )
             shared += was_cached
             reps.append(rep)
@@ -111,7 +104,7 @@ class FamilyBatcher:
             self._batched += base_shared
             self._reps_shared += shared
             self._reps_computed += spec.n_reps - shared
-        return self._assemble(base, reps, request)
+        return base, reps
 
     def served_batched(self, request: ScheduleRequest) -> bool:
         """Whether this request's family base already exists (peek only)."""

@@ -35,6 +35,7 @@ transfer across machines.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sqlite3
@@ -44,8 +45,8 @@ import threading
 import time
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import (
-    Any, Callable, ClassVar, Dict, FrozenSet, List, Mapping, Optional,
-    Sequence, Tuple, Type, TypeVar,
+    Any, Callable, ClassVar, Dict, FrozenSet, Iterator, List, Mapping,
+    Optional, Sequence, Tuple, Type, TypeVar,
 )
 
 from .events import LOAD_RUN_RECORDED, RUN_RECORDED, EventBus
@@ -736,25 +737,15 @@ def set_ledger(ledger: Optional[Any]) -> None:
         _current = ledger if ledger is not None else _NULL_LEDGER
 
 
-class _UseLedger:
-    __slots__ = ("_ledger", "_previous")
-
-    def __init__(self, ledger: Any) -> None:
-        self._ledger = ledger
-        self._previous: Any = None
-
-    def __enter__(self) -> Any:
-        self._previous = get_ledger()
-        set_ledger(self._ledger)
-        return self._ledger
-
-    def __exit__(self, *exc_info: Any) -> None:
-        set_ledger(self._previous)
-
-
-def use_ledger(ledger: Any) -> _UseLedger:
+@contextlib.contextmanager
+def use_ledger(ledger: Any) -> Iterator[Any]:
     """Scope-install a ledger: ``with use_ledger(RunLedger(path)): ...``."""
-    return _UseLedger(ledger)
+    previous = get_ledger()
+    set_ledger(ledger)
+    try:
+        yield ledger
+    finally:
+        set_ledger(previous)
 
 
 # ----------------------------------------------------------------------

@@ -37,12 +37,13 @@ Chrome trace shows gateway → admission → queue → worker shards → merge.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 __all__ = [
     "Span",
@@ -434,22 +435,12 @@ def set_tracer(tracer: Optional[Any]) -> None:
         _current = tracer if tracer is not None else _NULL_TRACER
 
 
-class _UseTracer:
-    __slots__ = ("_tracer", "_previous")
-
-    def __init__(self, tracer: Any) -> None:
-        self._tracer = tracer
-        self._previous: Any = None
-
-    def __enter__(self) -> Any:
-        self._previous = get_tracer()
-        set_tracer(self._tracer)
-        return self._tracer
-
-    def __exit__(self, *exc_info: Any) -> None:
-        set_tracer(self._previous)
-
-
-def use_tracer(tracer: Any) -> _UseTracer:
+@contextlib.contextmanager
+def use_tracer(tracer: Any) -> Iterator[Any]:
     """Scope-install a tracer: ``with use_tracer(Tracer()) as t: ...``."""
-    return _UseTracer(tracer)
+    previous = get_tracer()
+    set_tracer(tracer)
+    try:
+        yield tracer
+    finally:
+        set_tracer(previous)

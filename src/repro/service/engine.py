@@ -13,11 +13,20 @@ the CLI, and library users all share. It turns a declarative
 3. ``_assemble``: fold the plan and the replications into the response.
 
 These three steps are the one compute core, reached by two routes. The
-thread executor runs them through a
+thread executor runs ``_plan`` and ``_replicate`` through a
 :class:`~repro.admission.FamilyBatcher`, which shares plans and per-seed
-replications across requests of one spec family. The pool executors
-(``process``, ``cluster``) ship :func:`compute_response`, the same steps
-unbatched, to a worker.
+replications across requests of one spec family and hands back
+``(base, reps)``; the engine then calls ``_assemble`` itself. The pool
+executors (``process``, ``cluster``) ship :func:`compute_response`, the
+same steps unbatched, to a worker.
+
+Each request carries one private context object, ``_Call`` (admission
+decision, stage timings, job id, deadline). It is made where the request
+enters — ``schedule()`` for a sync call, ``submit()`` for a job — and is
+passed explicitly down the serve path: ``_serve`` → ``_compute`` →
+``_finish_request`` → ``_record_run``, and to the progress and deadline
+hooks. A job's worker thread calls ``_serve`` directly, so ``schedule()``
+has one path, through admission.
 
 Heavy traffic is absorbed two ways: identical requests collapse into hits
 on a content-addressed LRU cache, and distinct requests fan out over a
@@ -38,6 +47,7 @@ from concurrent.futures import CancelledError as FuturesCancelledError
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from ..errors import (
@@ -120,15 +130,32 @@ class JobRecord:
         return out
 
 
-class _Job:
-    __slots__ = ("record", "future", "request", "decision", "stages")
+@dataclass
+class _Call:
+    """One request's context on its way through the engine.
 
-    def __init__(self, record: JobRecord) -> None:
+    ``decision`` is the request's admission decision and ``stages`` its
+    lifecycle clock. ``job_id`` is ``None`` for a sync call; a job's
+    ``deadline`` (monotonic seconds) is set when it starts to run under
+    a ``job_timeout``.
+    """
+
+    decision: Any
+    stages: StageTimings
+    job_id: Optional[str] = None
+    deadline: Optional[float] = None
+
+
+class _Job:
+    __slots__ = ("record", "future", "request", "call")
+
+    def __init__(
+        self, record: JobRecord, request: ScheduleRequest, call: _Call
+    ) -> None:
         self.record = record
         self.future: "Future[ScheduleResponse]" = Future()
-        self.request: Optional[ScheduleRequest] = None
-        self.decision: Any = None  # AdmissionDecision of an admitted job
-        self.stages: Optional[StageTimings] = None  # request lifecycle
+        self.request = request
+        self.call = call
 
 
 @dataclass
@@ -423,10 +450,6 @@ class SchedulingService:
         self._ids = itertools.count(1)
         self._closed = False
         self._started_at = time.time()
-        # Which job the current worker thread is computing for — lets the
-        # deep schedule/evaluate path publish job.progress without
-        # threading a job id through every signature.
-        self._job_context = threading.local()
         # Imported lazily: repro.admission imports service submodules, so
         # a module-level import here would cycle when the admission
         # package is imported first.
@@ -448,10 +471,9 @@ class SchedulingService:
         )
         # The thread route: spec-family batching over the compute core.
         # The pool executors compute unbatched in the worker.
-        self._batcher = (
-            FamilyBatcher(self._family_base, self._family_rep, _assemble)
-            if executor == "thread" else None
-        )
+        self._batcher = FamilyBatcher() if executor == "thread" else None
+        #: The stage a request's compute is charged to on this route.
+        self._compute_stage = "batched" if executor == "thread" else "execute"
 
     # ------------------------------------------------------------------
     # sync path
@@ -459,130 +481,115 @@ class SchedulingService:
     def schedule(self, request: RequestLike) -> ScheduleResponse:
         """Serve one request synchronously (cache-aware, admission-gated).
 
-        Direct (non-job) callers pass the tenant admission gates — rate
-        limit and cost budget — without queueing, and their spend is
-        reconciled like any job's; a refusal raises
-        :class:`~repro.errors.AdmissionRejected`. Worker threads serving
-        an already-admitted job skip the gates (their reservation was
-        taken at ``submit``).
-
-        Raises :class:`~repro.errors.ServiceClosedError` once the service
-        is draining — except for the worker threads finishing already
-        accepted jobs, which must be able to complete the drain.
+        The request passes the tenant admission gates — rate limit and
+        cost budget — without queueing, and its spend is reconciled like
+        any job's; a refusal raises
+        :class:`~repro.errors.AdmissionRejected`. Raises
+        :class:`~repro.errors.ServiceClosedError` once the service is
+        draining.
         """
         req = self._coerce(request)
-        if getattr(self._job_context, "job_id", None) is not None:
-            return self._serve(req)
         self._check_open()
         stages = StageTimings()
         decision = self.admission.admit(
             req, f"sync-{next(self._ids):06d}", enqueue=False, stages=stages
         )
-        self._job_context.decision = decision
-        self._job_context.stages = stages
+        call = _Call(decision, stages)
         try:
-            return self._serve(req)
+            return self._serve(req, call)
         except BaseException:
-            self.slo.observe_request(
-                duration_s=stages.wall_s, success=False,
-                stages=stages.stages,
-            )
+            self._close_request(call, success=False)
             raise
         finally:
             # No-op when the response reconciled the reservation (the
             # normal path); a compute that raised refunds it here.
             self.admission.release(decision)
-            self._job_context.decision = None
-            self._job_context.stages = None
 
-    def _serve(self, req: ScheduleRequest) -> ScheduleResponse:
-        """Cache-aware compute, admission settlement, ledger archive."""
+    def _serve(self, req: ScheduleRequest, call: _Call) -> ScheduleResponse:
+        """Cache-aware compute, then :meth:`_finish_request`."""
         self.metrics.incr("requests")
-        stages = getattr(self._job_context, "stages", None)
         if self._cache is None:
-            response = self._compute(req)
-        else:
-            key = req.fingerprint()
-            cached, was_cached = self._cache.get_or_compute(
-                key, lambda: self._compute(req)
+            return self._finish_request(
+                req, self._compute(req, call), call, record=True
             )
-            if was_cached:
-                self.metrics.incr("cache_hits")
-                if stages is not None:
-                    # Hit lookup plus any single-flight coalesced wait.
-                    stages.mark("cache")
-                # Copy: callers may mutate, and the cached original must
-                # keep cached=False so first-compute responses stay honest.
-                # Cache hits commit tenant spend but add no ledger row.
-                response = replace(cached, cached=True)
-                admission = self._settle_admission(req, response, stages)
-                return self._finish_request(
-                    req, response, stages, record=False, admission=admission
-                )
+        response, was_cached = self._cache.get_or_compute(
+            req.fingerprint(), lambda: self._compute(req, call)
+        )
+        if not was_cached:
             self.metrics.incr("cache_misses")
-            response = cached
-        admission = self._settle_admission(req, response, stages)
+            return self._finish_request(req, response, call, record=True)
+        self.metrics.incr("cache_hits")
+        # Hit lookup plus any single-flight coalesced wait.
+        call.stages.mark("cache")
+        # Copy: callers may mutate, and the cached original must keep
+        # cached=False so first-compute responses stay honest. Cache hits
+        # commit tenant spend but add no ledger row.
         return self._finish_request(
-            req, response, stages, record=True, admission=admission
+            req, replace(response, cached=True), call, record=False
         )
 
     def _settle_admission(
-        self,
-        req: ScheduleRequest,
-        response: ScheduleResponse,
-        stages: Optional[StageTimings] = None,
+        self, req: ScheduleRequest, response: ScheduleResponse, call: _Call
     ) -> Optional[Dict[str, Any]]:
-        """Commit the current request's reservation against actuals.
+        """Commit the request's reservation against actuals.
 
         Settles at most once per admission decision (retries re-enter
         here only after a failed attempt, which never settles). Returns
         the admission diagnostics destined for the ledger row, or
-        ``None`` when the caller was not admission-tracked.
+        ``None`` when the decision was already settled.
         """
-        decision = getattr(self._job_context, "decision", None)
         try:
-            if decision is None:
-                return None
             return self.admission.reconcile(
                 req,
-                decision,
+                call.decision,
                 actual_cost=response.planned_cost,
                 actual_duration_s=response.elapsed_s,
             )
         finally:
-            if stages is not None:
-                stages.mark("reconcile")
+            call.stages.mark("reconcile")
 
     def _finish_request(
         self,
         req: ScheduleRequest,
         response: ScheduleResponse,
-        stages: Optional[StageTimings],
+        call: _Call,
         *,
         record: bool,
-        admission: Optional[Dict[str, Any]],
     ) -> ScheduleResponse:
-        """Close out one served request: stage telemetry, SLO, ledger.
+        """Close out one served request: settle, stage telemetry, ledger.
 
         The returned response carries the stage decomposition; the
         cached original (if any) stays untouched, so every hit gets its
         own per-request timings.
         """
-        stage_dict: Optional[Dict[str, Any]] = None
-        if stages is not None:
-            stage_dict = stages.to_dict()
-            for name, seconds in stage_dict["stages"].items():
-                self.metrics.observe(f"stage_{name}_seconds", seconds)
-            self.slo.observe_request(
-                duration_s=stage_dict["wall_s"], success=True,
-                stages=stage_dict["stages"],
-            )
-            response = replace(response, stages=stage_dict)
+        admission = self._settle_admission(req, response, call)
+        stage_dict = self._close_request(call, success=True)
+        for name, seconds in stage_dict["stages"].items():
+            self.metrics.observe(f"stage_{name}_seconds", seconds)
+        response = replace(response, stages=stage_dict)
         if record and self.ledger.enabled:
             self._record_run(
-                req, response, admission=admission, stages=stage_dict
+                req, response, call, admission=admission, stages=stage_dict
             )
         return response
+
+    def _close_request(self, call: _Call, *, success: bool) -> Dict[str, Any]:
+        """Stop one request's clock and report it to the SLO monitor.
+
+        The one place a request closes, served or failed. A failure
+        leaves its last segment open — the failing compute, and for a
+        job any retries and their backoff — so that segment is charged
+        to the route's compute stage and the stages still sum to
+        ``wall_s``.
+        """
+        if not success:
+            call.stages.mark(self._compute_stage)
+        stage_dict = call.stages.to_dict()
+        self.slo.observe_request(
+            duration_s=stage_dict["wall_s"], success=success,
+            stages=stage_dict["stages"],
+        )
+        return stage_dict
 
     # ------------------------------------------------------------------
     # async jobs
@@ -608,16 +615,13 @@ class SchedulingService:
             request=req.to_dict(),
             submitted_at=time.time(),
         )
-        job = _Job(record)
-        job.request = req
-        job.stages = StageTimings()
+        stages = StageTimings()
         try:
-            job.decision = self.admission.admit(
-                req, job_id, stages=job.stages
-            )
+            decision = self.admission.admit(req, job_id, stages=stages)
         except AdmissionRejected:
             self.metrics.incr("jobs_rejected")
             raise
+        job = _Job(record, req, _Call(decision, stages, job_id))
         with self._lock:
             self._jobs[job_id] = job
         self.events.publish(
@@ -654,30 +658,20 @@ class SchedulingService:
         if not future.set_running_or_notify_cancel():
             # cancel() won after the entry was popped: the queue withdraw
             # missed it, so the refund happens here — exactly once.
-            if job.decision is not None:
-                self.admission.release(job.decision)
+            self.admission.release(job.call.decision)
             self.admission.release_slot(entry.tenant)
             return
-        if job.stages is not None:
-            # Everything between the admission gates and this claim —
-            # queue wait plus dispatch overhead — is the queued stage;
-            # entry.waited_s keeps the queue's own precise measurement.
-            job.stages.mark("queued")
-        self._job_context.decision = job.decision
-        self._job_context.stages = job.stages
-        self._job_context.queue_waited_s = entry.waited_s
+        # Everything between the admission gates and this claim — queue
+        # wait plus dispatch overhead — is the queued stage;
+        # entry.waited_s keeps the queue's own precise measurement.
+        job.call.stages.mark("queued")
         try:
-            response = self._run_job(entry.job_id, job.request)
+            response = self._run_job(job, entry.waited_s)
         except BaseException as exc:
-            if job.decision is not None:
-                self.admission.release(job.decision)
+            self.admission.release(job.call.decision)
             self.admission.release_slot(entry.tenant)
             future.set_exception(exc)
             return
-        finally:
-            self._job_context.decision = None
-            self._job_context.stages = None
-            self._job_context.queue_waited_s = None
         self.admission.release_slot(entry.tenant)
         future.set_result(response)
 
@@ -766,8 +760,8 @@ class SchedulingService:
         # dispatcher will ever claim it and the withdraw refund is final;
         # otherwise a dispatcher already popped it and its failed
         # set_running_or_notify_cancel() performs the (single) refund.
-        if self.admission.withdraw(job_id) and job.decision is not None:
-            job.decision.reconciled = True
+        if self.admission.withdraw(job_id):
+            job.call.decision.reconciled = True
         self.events.publish(
             "job.finished", job_id=job_id, state=JobState.CANCELLED
         )
@@ -989,31 +983,25 @@ class SchedulingService:
         jitter = random.Random(f"{job_id}:{attempt}").uniform(0.5, 1.0)
         return self.retry_backoff_s * (2.0 ** attempt) * jitter
 
-    def _run_job(self, job_id: str, request: ScheduleRequest) -> ScheduleResponse:
+    def _run_job(self, job: _Job, queue_waited_s: float) -> ScheduleResponse:
+        record, call = job.record, job.call
+        job_id = record.job_id
         with self._lock:
-            record = self._jobs[job_id].record
             record.state = JobState.RUNNING
             record.started_at = time.time()
-        waited = getattr(self._job_context, "queue_waited_s", None)
-        if waited is not None:
-            self.events.publish(
-                "job.started", job_id=job_id, queue_waited_s=waited
-            )
-        else:
-            self.events.publish("job.started", job_id=job_id)
-        self._job_context.job_id = job_id
-        self._job_context.deadline = (
-            None if self.job_timeout is None
-            else time.monotonic() + self.job_timeout
+        self.events.publish(
+            "job.started", job_id=job_id, queue_waited_s=queue_waited_s
         )
+        if self.job_timeout is not None:
+            call.deadline = time.monotonic() + self.job_timeout
         try:
             attempt = 0
             while True:
                 with self._lock:
                     record.attempts = attempt + 1
                 try:
-                    self._check_job_deadline()
-                    response = self.schedule(request)
+                    self._check_job_deadline(call)
+                    response = self._serve(job.request, call)
                     break
                 except Exception as exc:
                     # ReproError (bad spec, infeasible, timeout) is
@@ -1035,6 +1023,7 @@ class SchedulingService:
             # Containment: *nothing* a job raises may corrupt the worker
             # pool or leave the record non-terminal — KeyboardInterrupt
             # and friends included.
+            self._close_request(call, success=False)
             tb = traceback.format_exc()
             with self._lock:
                 record.state = JobState.FAILED
@@ -1049,43 +1038,34 @@ class SchedulingService:
                 "job.finished", job_id=job_id, state=JobState.FAILED,
                 error=record.error,
             )
-            stages = getattr(self._job_context, "stages", None)
-            self.slo.observe_request(
-                duration_s=stages.wall_s if stages is not None else 0.0,
-                success=False,
-                stages=stages.stages if stages is not None else None,
-            )
             self.metrics.incr("jobs_failed")
             if isinstance(exc, JobTimeoutError):
                 self.metrics.incr("jobs_timed_out")
             raise
-        finally:
-            self._job_context.job_id = None
-            self._job_context.deadline = None
         with self._lock:
             record.state = JobState.DONE
             record.response = response
             record.finished_at = time.time()
-        finished_data: Dict[str, Any] = {
-            "job_id": job_id, "state": JobState.DONE,
-            "cached": response.cached, "elapsed_s": response.elapsed_s,
-        }
-        if response.stages is not None:
-            finished_data["stages"] = response.stages["stages"]
-            finished_data["wall_s"] = response.stages["wall_s"]
-        self.events.publish("job.finished", **finished_data)
+        self.events.publish(
+            "job.finished", job_id=job_id, state=JobState.DONE,
+            cached=response.cached, elapsed_s=response.elapsed_s,
+            stages=response.stages["stages"],
+            wall_s=response.stages["wall_s"],
+        )
         self.metrics.incr("jobs_done")
         return response
 
-    def _check_job_deadline(self) -> None:
+    def _check_job_deadline(self, call: _Call) -> None:
         """Cooperative per-job timeout (checked between evaluation reps)."""
-        deadline = getattr(self._job_context, "deadline", None)
-        if deadline is not None and time.monotonic() > deadline:
+        if call.deadline is not None and time.monotonic() > call.deadline:
             raise JobTimeoutError(
                 f"job exceeded its {self.job_timeout}s timeout"
             )
 
-    def _compute(self, request: ScheduleRequest) -> ScheduleResponse:
+    def _compute(
+        self, request: ScheduleRequest, call: _Call
+    ) -> ScheduleResponse:
+        """One compute on this executor's route, timed and traced."""
         started = time.perf_counter()
         tracer = get_tracer()
         attrs = (
@@ -1097,25 +1077,43 @@ class SchedulingService:
         with self.metrics.timer("schedule_latency_s"), tracer.span(
             "service.compute", **attrs
         ):
-            if self._batcher is not None:
-                if self._batcher.served_batched(request):
-                    self.metrics.incr("admission_batched")
-                response = self._batcher.compute(request)
-                stage = "batched"
+            if self._batcher is None:
+                response = self._compute_in_pool(request, call)
             else:
-                response = self._compute_in_pool(request)
-                stage = "execute"
-        stages = getattr(self._job_context, "stages", None)
-        if stages is not None:
-            stages.mark(stage)
+                response = self._compute_batched(request, call)
+        call.stages.mark(self._compute_stage)
         evaluation = response.evaluation
         if evaluation:
             n_reps = evaluation["n_reps"]
-            self._publish_progress("evaluating", n_reps, n_reps)
+            self._publish_progress(call, "evaluating", n_reps, n_reps)
             self.metrics.incr("evaluation_reps", n_reps)
         return replace(response, elapsed_s=time.perf_counter() - started)
 
-    def _compute_in_pool(self, request: ScheduleRequest) -> ScheduleResponse:
+    def _compute_batched(
+        self, request: ScheduleRequest, call: _Call
+    ) -> ScheduleResponse:
+        """The thread route: plan and replays through the family batcher.
+
+        Planning publishes this call's progress, and each replay first
+        checks its cooperative deadline.
+        """
+        if self._batcher.served_batched(request):
+            self.metrics.incr("admission_batched")
+
+        def replicate(base: _FamilyBase, seed: int) -> Dict[str, Any]:
+            self._check_job_deadline(call)
+            return _replicate(base, seed)
+
+        base, reps = self._batcher.compute(
+            request,
+            lambda req: _plan(req, partial(self._publish_progress, call)),
+            replicate,
+        )
+        return _assemble(base, reps, request)
+
+    def _compute_in_pool(
+        self, request: ScheduleRequest, call: _Call
+    ) -> ScheduleResponse:
         """Route one compute into the worker pool, supervised from here.
 
         The child cannot check the cooperative deadline, so the parent
@@ -1125,11 +1123,10 @@ class SchedulingService:
         :class:`~repro.errors.WorkerCrashError` (not a ``ReproError``), so
         the job retry loop treats them as transient.
         """
-        deadline = getattr(self._job_context, "deadline", None)
         remaining: Optional[float] = None
-        if deadline is not None:
-            remaining = max(deadline - time.monotonic(), 0.001)
-        self._publish_progress("dispatched", 1, 1)
+        if call.deadline is not None:
+            remaining = max(call.deadline - time.monotonic(), 0.001)
+        self._publish_progress(call, "dispatched", 1, 1)
         try:
             response = self._proc_pool.run(
                 _process_compute, request.to_dict(), timeout=remaining
@@ -1141,25 +1138,14 @@ class SchedulingService:
             ) from None
         return response
 
-    # ------------------------------------------------------------------
-    # spec-family batching callables (see repro.admission.batcher)
-    # ------------------------------------------------------------------
-    def _family_base(self, request: ScheduleRequest) -> _FamilyBase:
-        """:func:`_plan` with this job's progress hook."""
-        return _plan(request, self._publish_progress)
-
-    def _family_rep(self, base: _FamilyBase, seed: int) -> Dict[str, Any]:
-        """:func:`_replicate` behind the cooperative job deadline."""
-        self._check_job_deadline()
-        return _replicate(base, seed)
-
     def _record_run(
         self,
         request: ScheduleRequest,
         response: ScheduleResponse,
+        call: _Call,
         *,
-        admission: Optional[Dict[str, Any]] = None,
-        stages: Optional[Dict[str, Any]] = None,
+        admission: Optional[Dict[str, Any]],
+        stages: Dict[str, Any],
     ) -> None:
         """Archive one freshly computed response into the ledger.
 
@@ -1179,8 +1165,7 @@ class SchedulingService:
         )
         if admission is not None:
             extra["admission"] = admission
-        if stages is not None:
-            extra["stages"] = stages
+        extra["stages"] = stages
         row = RunRow(
             source="service",
             fingerprint=response.request_fingerprint,
@@ -1199,7 +1184,7 @@ class SchedulingService:
             n_reps=int(evaluation.get("n_reps", 0)),
             n_vms=response.n_vms,
             elapsed_s=response.elapsed_s,
-            trace_id=getattr(self._job_context, "job_id", None) or "",
+            trace_id=call.job_id or "",
             extra=extra,
         )
         try:
@@ -1208,11 +1193,12 @@ class SchedulingService:
             # Archiving must never fail a request; surface via metrics.
             self.metrics.incr("ledger_errors")
 
-    def _publish_progress(self, stage: str, done: int, total: int) -> None:
-        job_id = getattr(self._job_context, "job_id", None)
-        if job_id is not None:
+    def _publish_progress(
+        self, call: _Call, stage: str, done: int, total: int
+    ) -> None:
+        if call.job_id is not None:
             self.events.publish(
-                "job.progress", job_id=job_id, stage=stage,
+                "job.progress", job_id=call.job_id, stage=stage,
                 done=done, total=total,
             )
 

@@ -87,9 +87,13 @@ class TestBatcherUnit:
         def assemble(base, reps, req):
             return {"base": base, "reps": list(reps)}
 
-        batcher = FamilyBatcher(compute_base, compute_rep, assemble)
-        first = batcher.compute(request(seed=0, n_reps=3))
-        second = batcher.compute(request(seed=1, n_reps=3))
+        def serve(req):
+            base, reps = batcher.compute(req, compute_base, compute_rep)
+            return assemble(base, reps, req)
+
+        batcher = FamilyBatcher()
+        first = serve(request(seed=0, n_reps=3))
+        second = serve(request(seed=1, n_reps=3))
         assert calls["base"] == 1
         assert calls["rep"] == 4  # seeds 0,1,2 then only 3 is new
         assert [r["seed"] for r in second["reps"]] == [1, 2, 3]
@@ -100,11 +104,11 @@ class TestBatcherUnit:
         assert first["base"] == second["base"]
 
     def test_clear_forgets_families(self):
-        batcher = FamilyBatcher(
+        batcher = FamilyBatcher()
+        batcher.compute(
+            request(seed=0, n_reps=1),
             lambda req: "b", lambda base, seed: {"seed": seed},
-            lambda base, reps, req: reps,
         )
-        batcher.compute(request(seed=0, n_reps=1))
         assert batcher.served_batched(request(seed=5))
         batcher.clear()
         assert not batcher.served_batched(request(seed=5))
@@ -116,10 +120,10 @@ class TestBatcherUnit:
             seen.append(req.family_key())
             return req.family_key()
 
-        batcher = FamilyBatcher(
-            compute_base, lambda base, seed: {"seed": seed},
-            lambda base, reps, req: base,
-        )
-        batcher.compute(request(amount=2.0, n_reps=1))
-        batcher.compute(request(amount=3.0, n_reps=1))
+        def rep(base, seed):
+            return {"seed": seed}
+
+        batcher = FamilyBatcher()
+        batcher.compute(request(amount=2.0, n_reps=1), compute_base, rep)
+        batcher.compute(request(amount=3.0, n_reps=1), compute_base, rep)
         assert len(seen) == 2 and seen[0] != seen[1]

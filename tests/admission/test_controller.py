@@ -167,9 +167,9 @@ class TestEngineIntegration:
             gate = threading.Event()
             orig = svc._compute
 
-            def slow(req):
+            def slow(req, call):
                 gate.wait(timeout=30)
-                return orig(req)
+                return orig(req, call)
 
             svc._compute = slow
             running = svc.submit(request(amount=2.0, tenant="team"))

@@ -167,6 +167,14 @@ class TestGlobalInstall:
         assert isinstance(get_ledger(), NullLedger)
         ledger.close()
 
+    def test_use_ledger_restores_on_exception(self):
+        ledger = RunLedger()
+        with pytest.raises(RuntimeError):
+            with use_ledger(ledger):
+                raise RuntimeError("boom")
+        assert isinstance(get_ledger(), NullLedger)
+        ledger.close()
+
     def test_set_ledger_none_restores_null(self):
         ledger = RunLedger()
         set_ledger(ledger)

@@ -2,6 +2,8 @@
 
 import threading
 
+import pytest
+
 from repro.obs.tracing import (
     DecisionRecord,
     NullTracer,
@@ -135,6 +137,13 @@ class TestGlobalTracer:
         with use_tracer(tracer) as active:
             assert active is tracer
             assert get_tracer() is tracer
+        assert get_tracer() is before
+
+    def test_use_tracer_restores_on_exception(self):
+        before = get_tracer()
+        with pytest.raises(RuntimeError):
+            with use_tracer(Tracer()):
+                raise RuntimeError("boom")
         assert get_tracer() is before
 
     def test_set_tracer_none_restores_null(self):

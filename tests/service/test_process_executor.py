@@ -47,11 +47,11 @@ class Gate:
         self.entered = threading.Event()
         self._orig = service._compute
 
-    def __call__(self, request):
+    def __call__(self, request, call):
         self.entered.set()
         if not self.release.wait(timeout=30):  # pragma: no cover - hang guard
             raise RuntimeError("gate never released")
-        return self._orig(request)
+        return self._orig(request, call)
 
 
 class TestProcessMode:
@@ -132,11 +132,11 @@ class TestRetries:
                                executor="process") as svc:
             orig, calls = svc._compute, []
 
-            def flaky(request):
+            def flaky(request, call):
                 calls.append(1)
                 if len(calls) < 3:
                     raise RuntimeError(f"transient #{len(calls)}")
-                return orig(request)  # final attempt runs in the pool
+                return orig(request, call)  # final attempt runs in the pool
 
             monkeypatch.setattr(svc, "_compute", flaky)
             job_id = svc.submit(request_dict())

@@ -41,11 +41,11 @@ class Gate:
         self.entered = threading.Event()
         self._orig = service._compute
 
-    def __call__(self, request):
+    def __call__(self, request, call):
         self.entered.set()
         if not self.release.wait(timeout=30):  # pragma: no cover - hang guard
             raise RuntimeError("gate never released")
-        return self._orig(request)
+        return self._orig(request, call)
 
 
 class TestBackpressure:
@@ -99,11 +99,11 @@ class TestRetries:
                                max_retries=2, retry_backoff_s=0.01) as svc:
             orig, calls = svc._compute, []
 
-            def flaky(request):
+            def flaky(request, call):
                 calls.append(1)
                 if len(calls) < 3:
                     raise RuntimeError(f"transient #{len(calls)}")
-                return orig(request)
+                return orig(request, call)
 
             monkeypatch.setattr(svc, "_compute", flaky)
             job_id = svc.submit(request_dict())
@@ -120,7 +120,7 @@ class TestRetries:
                                max_retries=3, retry_backoff_s=0.01) as svc:
             calls = []
 
-            def broken(request):
+            def broken(request, call):
                 calls.append(1)
                 raise ServiceError("deterministic spec problem")
 
@@ -137,7 +137,7 @@ class TestContainment:
         bus = EventBus()
         with SchedulingService(max_workers=1, cache_size=0,
                                events=bus) as svc:
-            def bomb(request):
+            def bomb(request, call):
                 raise SystemExit("worker bomb")
 
             orig = svc._compute
@@ -183,7 +183,7 @@ class TestSSEDelivery:
         svc = SchedulingService(max_workers=1, cache_size=0,
                                 max_retries=1, retry_backoff_s=0.01)
 
-        def doomed(request):
+        def doomed(request, call):
             raise RuntimeError("flaky backend")
 
         monkeypatch.setattr(svc, "_compute", doomed)
@@ -217,10 +217,10 @@ class TestTimeouts:
     def test_job_timeout_marks_timed_out(self, monkeypatch):
         with SchedulingService(max_workers=1, cache_size=0,
                                job_timeout=0.05) as svc:
-            def slow(request):
-                deadline = svc._job_context.deadline
+            def slow(request, call):
+                deadline = call.deadline
                 while time.monotonic() < deadline + 0.1:
-                    svc._check_job_deadline()
+                    svc._check_job_deadline(call)
                     time.sleep(0.005)
                 return None  # pragma: no cover - deadline fires first
 
@@ -230,6 +230,55 @@ class TestTimeouts:
                 svc.result(job_id, timeout=60)
             assert svc.job(job_id).state == "failed"
             assert svc.metrics.counter("jobs_timed_out") == 1
+
+
+    def test_thread_route_deadline_fires_inside_the_replays(self):
+        # No fake compute: the deadline check between replays must stop a
+        # job far longer than its budget.
+        with SchedulingService(max_workers=1, cache_size=0,
+                               job_timeout=0.2) as svc:
+            started = time.monotonic()
+            job_id = svc.submit(request_dict(n_reps=3000))
+            with pytest.raises(JobTimeoutError):
+                svc.result(job_id, timeout=60)
+            assert time.monotonic() - started < 5.0
+            assert svc.job(job_id).state == "failed"
+            assert svc.metrics.counter("jobs_timed_out") == 1
+
+
+class TestFailedRequestDuration:
+    """A failed request's SLO duration includes the compute that failed."""
+
+    @staticmethod
+    def failing_after(seconds):
+        def compute(*_args):
+            time.sleep(seconds)
+            raise RuntimeError("compute failed late")
+
+        return compute
+
+    def check_recorded(self, svc, seconds):
+        report = svc.slo.snapshot()
+        floor = seconds * (1 - report["alpha"])
+        assert report["failures"] == 1
+        assert report["stages"]["request"]["p50"] >= floor
+        # the failing segment is charged to the route's compute stage
+        assert report["stages"]["batched"]["p50"] >= floor
+
+    def test_failed_job(self, monkeypatch):
+        with SchedulingService(max_workers=1, cache_size=0) as svc:
+            monkeypatch.setattr(svc, "_compute", self.failing_after(0.3))
+            job_id = svc.submit(request_dict())
+            with pytest.raises(ServiceError, match="failed late"):
+                svc.result(job_id, timeout=60)
+            self.check_recorded(svc, 0.3)
+
+    def test_failed_sync_call(self, monkeypatch):
+        with SchedulingService(max_workers=1, cache_size=0) as svc:
+            monkeypatch.setattr(svc, "_compute", self.failing_after(0.3))
+            with pytest.raises(RuntimeError, match="failed late"):
+                svc.schedule(request_dict())
+            self.check_recorded(svc, 0.3)
 
 
 class TestCancelRace:

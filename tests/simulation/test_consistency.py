@@ -4,15 +4,19 @@ The incremental planner (Eq. 7) and the event-driven executor implement the
 same platform semantics; run deterministically (conservative weights,
 infinite DC capacity) on the *same* schedule, every task's planned EFT must
 equal its simulated compute end, and the planner's conservative cost
-envelope must upper-bound the simulated VM rental.
+envelope must upper-bound the simulated VM rental. The envelope property
+at the end holds the same bounds for every registered scheduler.
 """
 
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import PAPER_PLATFORM, generate, heft_order
+from repro.experiments.budgets import high_budget, minimal_budget
 from repro.scheduling.planning import PlanningState
+from repro.scheduling.registry import SCHEDULERS
 from repro.simulation import evaluate_schedule
 
 
@@ -73,3 +77,29 @@ def test_vm_booking_times_match(simple_platform):
     actual = {vm.vm_id: vm.booked_at for vm in result.vms}
     for vm_id, t in planned.items():
         assert actual[vm_id] == pytest.approx(t, abs=1e-6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    family=st.sampled_from(["montage", "ligo", "cybershake"]),
+    n_tasks=st.integers(min_value=12, max_value=24),
+    seed=st.integers(min_value=0, max_value=10_000),
+    position=st.floats(min_value=0.0, max_value=1.5),
+)
+def test_every_scheduler_plan_bounds_its_simulation(
+    family, n_tasks, seed, position
+):
+    """Planned makespan and VM cost upper-bound the deterministic replay
+    (conservative weights, infinite DC capacity) for all 13 schedulers,
+    at budgets from ``B_min`` to past ``B_high``."""
+    wf = generate(family, n_tasks, rng=seed, sigma_ratio=0.5)
+    b_min = minimal_budget(wf, PAPER_PLATFORM)
+    budget = b_min + position * (high_budget(wf, PAPER_PLATFORM) - b_min)
+    for name, cls in sorted(SCHEDULERS.items()):
+        result = cls().schedule(wf, PAPER_PLATFORM, budget)
+        sim = evaluate_schedule(wf, PAPER_PLATFORM, result.schedule)
+        assert sim.makespan <= result.planned_makespan + 1e-6, name
+        # per-second billing: at most one second of rental per VM more
+        slack = sum(vm.category.cost_rate for vm in sim.vms)
+        rental = sim.cost.vm_rental - sim.cost.vm_initial
+        assert rental <= result.planned_vm_cost + slack, name
