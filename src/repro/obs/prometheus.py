@@ -3,7 +3,8 @@
 Renders a :meth:`repro.service.metrics.MetricsRegistry.snapshot` — plus
 optional gauges — in the plain-text scrape format. Counters become
 ``<ns>_<name>_total``; observation series become a summary family (the
-quantiles are the registry's bounded-window estimates, ``_sum`` and
+quantiles are the registry's window estimates — nearest rank within 1 %
+relative error over the last 1024–2048 samples — while ``_sum`` and
 ``_count`` are lifetime) and, when bucket counts are present, a sibling
 ``<name>_histogram`` family with cumulative ``_bucket`` lines.
 
@@ -84,7 +85,8 @@ def render_prometheus(
         metric = f"{namespace}_{sanitize_metric_name(name)}"
         lines.append(
             f"# HELP {metric} Observation series {name!r} "
-            "(quantiles over the bounded sample window)."
+            "(window quantiles within 1% relative error over the last "
+            "1024-2048 samples)."
         )
         lines.append(f"# TYPE {metric} summary")
         for label, key in _QUANTILES:

@@ -22,7 +22,8 @@ is a pure function of the (integer) bucket counts plus the exact
 ``/v1/slo`` acceptance gate checks.
 
 Stdlib only; thread-safety is the caller's job (the
-:class:`~repro.obs.slo.SLOMonitor` holds the lock).
+:class:`~repro.obs.slo.SLOMonitor` and the service's ``MetricsRegistry``
+hold their locks).
 """
 
 from __future__ import annotations

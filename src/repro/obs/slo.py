@@ -17,9 +17,9 @@ service engine feeds every finished request into:
 
 Window counters are rings of coarse interval buckets (10 s resolution
 by default), so memory is O(windows × slots) regardless of traffic.
-The monitor is thread-safe; the sketches themselves are mergeable and
-deterministic (see :mod:`repro.obs.sketch`), which is what lets shard-
-local sketches fold into identical percentiles at any worker count.
+The monitor is thread-safe; its sketches are deterministic (see
+:mod:`repro.obs.sketch`), and the service's ``stage_<name>_seconds``
+metric series are fed the same samples at the same ``alpha``.
 
 :func:`report_from_rows` computes the same report offline from ledger
 rows (``repro-exp slo --db``), windowing on ``recorded_at``.
@@ -197,17 +197,6 @@ class SLOMonitor:
                     duration_s=duration_s, success=success)
                 for counter in self._counters[target.name].values():
                     counter.add(now, good)
-
-    def merge_stage_sketch(self, stage: str,
-                           payload: Mapping[str, Any]) -> None:
-        """Fold a serialized shard sketch into a stage (worker merges)."""
-        incoming = QuantileSketch.from_dict(payload)
-        with self._lock:
-            sketch = self._stage_sketches.get(stage)
-            if sketch is None:
-                self._stage_sketches[stage] = incoming
-            else:
-                sketch.merge(incoming)
 
     # ------------------------------------------------------------------
     def stage_percentiles(self) -> Dict[str, Dict[str, float]]:

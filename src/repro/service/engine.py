@@ -564,8 +564,6 @@ class SchedulingService:
         """
         admission = self._settle_admission(req, response, call)
         stage_dict = self._close_request(call, success=True)
-        for name, seconds in stage_dict["stages"].items():
-            self.metrics.observe(f"stage_{name}_seconds", seconds)
         response = replace(response, stages=stage_dict)
         if record and self.ledger.enabled:
             self._record_run(
@@ -574,17 +572,19 @@ class SchedulingService:
         return response
 
     def _close_request(self, call: _Call, *, success: bool) -> Dict[str, Any]:
-        """Stop one request's clock and report it to the SLO monitor.
+        """Stop one request's clock; feed its stages to metrics and SLO.
 
-        The one place a request closes, served or failed. A failure
-        leaves its last segment open — the failing compute, and for a
-        job any retries and their backoff — so that segment is charged
-        to the route's compute stage and the stages still sum to
-        ``wall_s``.
+        The one place a request closes, served or failed, and so the one
+        place its stage durations are observed. A failure leaves its
+        last segment open — the failing compute, and for a job any
+        retries and their backoff — so that segment is charged to the
+        route's compute stage and the stages still sum to ``wall_s``.
         """
         if not success:
             call.stages.mark(self._compute_stage)
         stage_dict = call.stages.to_dict()
+        for name, seconds in stage_dict["stages"].items():
+            self.metrics.observe(f"stage_{name}_seconds", seconds)
         self.slo.observe_request(
             duration_s=stage_dict["wall_s"], success=success,
             stages=stage_dict["stages"],
@@ -845,11 +845,13 @@ class SchedulingService:
             },
             "slo": self.slo.snapshot(),
             "admission": self.admission.stats(),
-            "batching": (
-                None if self._batcher is None else self._batcher.stats()
-            ),
+            "batching": self.batching_stats(),
         }
         return out
+
+    def batching_stats(self) -> Optional[Dict[str, Any]]:
+        """The family batcher's counters; ``None`` on the pool routes."""
+        return None if self._batcher is None else self._batcher.stats()
 
     def health(self) -> Dict[str, Any]:
         """Readiness snapshot backing ``GET /v1/healthz``.

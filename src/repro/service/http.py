@@ -392,7 +392,7 @@ class _Handler(BaseHTTPRequestHandler):
             return 200, {"tenants": self.service.admission.tenants.snapshot()}
         if method == "GET" and tail == ["admission"]:
             out = self.service.admission.stats()
-            out["batching"] = self.service.stats()["batching"]
+            out["batching"] = self.service.batching_stats()
             return 200, out
         if method == "POST" and tail == ["schedule"]:
             requests = self._tagged_requests(self._read_json())

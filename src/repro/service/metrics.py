@@ -1,18 +1,20 @@
 """Lightweight operational metrics for the scheduling service.
 
-Counters and latency summaries, thread-safe, zero dependencies. A
-:class:`MetricsRegistry` is deliberately far simpler than a full metrics
-stack: monotonically increasing counters plus per-name observation
-summaries (lifetime count / sum / min / max, cumulative histogram bucket
-counts, and quantiles over a bounded window of recent samples).
-``snapshot()`` returns plain dicts ready for the ``/v1/metrics`` endpoint
-or a log line; :func:`repro.obs.prometheus.render_prometheus` turns the
-same snapshot into Prometheus text exposition.
+Counters and latency summaries, thread-safe, zero dependencies: counters
+plus per-name observation summaries. ``snapshot()`` returns plain dicts
+for the ``/v1/metrics`` endpoint or a log line;
+:func:`repro.obs.prometheus.render_prometheus` turns the same snapshot
+into Prometheus text exposition.
 
 Scope labelling: lifetime fields keep their plain names (``count``,
 ``sum``, ``mean``, ``min``, ``max``, ``buckets``) while fields computed
 from the bounded sample window are prefixed ``window_`` (``window_count``,
-``window_p50``, …) so dashboards cannot silently mix the two scopes.
+``window_p50``, …) so dashboards cannot silently mix the two scopes. The
+window is two :class:`~repro.obs.sketch.QuantileSketch` generations of
+1024 samples (so the last 1024–2048 samples), and ``window_p*`` are its
+nearest-rank answers within ``DEFAULT_ALPHA`` (1 %) relative error: the
+SLO monitor's estimator. :func:`quantile` is the exact statistic behind
+the responses' Monte Carlo ``p95``.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ import bisect
 import math
 import threading
 import time
-from collections import deque
 from contextlib import contextmanager
-from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+
+from ..obs.sketch import QuantileSketch
 
 __all__ = ["MetricsRegistry", "quantile", "DEFAULT_BUCKETS"]
 
-#: Samples retained per observation series for quantile estimates.
+#: Samples per window generation; the window spans two generations.
 _WINDOW = 1024
 
 #: Default histogram upper bounds, in seconds — tuned for request/schedule
@@ -60,29 +63,34 @@ def _bound_label(bound: float) -> str:
 
 
 class _Series:
-    __slots__ = ("count", "total", "minimum", "maximum", "window",
-                 "bounds", "bucket_counts")
+    __slots__ = ("count", "total", "minimum", "maximum", "current",
+                 "previous", "bounds", "bucket_counts")
 
     def __init__(self, bounds: Sequence[float]) -> None:
         self.count = 0
         self.total = 0.0
         self.minimum = float("inf")
         self.maximum = float("-inf")
-        self.window: Deque[float] = deque(maxlen=_WINDOW)
+        self.clear_window()
         self.bounds: Tuple[float, ...] = tuple(bounds)
         # One count per finite bound, plus the implicit +Inf bucket.
         self.bucket_counts: List[int] = [0] * (len(self.bounds) + 1)
+
+    def clear_window(self) -> None:
+        self.previous, self.current = QuantileSketch(), QuantileSketch()
 
     def observe(self, value: float) -> None:
         self.count += 1
         self.total += value
         self.minimum = min(self.minimum, value)
         self.maximum = max(self.maximum, value)
-        self.window.append(value)
+        if self.current.count >= _WINDOW:
+            self.previous, self.current = self.current, QuantileSketch()
+        self.current.add(value)
         self.bucket_counts[bisect.bisect_left(self.bounds, value)] += 1
 
     def summary(self) -> Dict[str, Any]:
-        recent = list(self.window)
+        window = QuantileSketch.merged((self.previous, self.current))
         cumulative: Dict[str, int] = {}
         running = 0
         for bound, bucket in zip(self.bounds, self.bucket_counts):
@@ -97,16 +105,13 @@ class _Series:
             "min": self.minimum,
             "max": self.maximum,
             "buckets": cumulative,
-            # bounded-window scope (last _WINDOW samples only)
-            "window_count": len(recent),
+            # bounded-window scope (both sketch generations)
+            "window_count": window.count,
         }
         # A freshly reset window has no samples to take quantiles over;
         # the window_p* keys are simply absent (the Prometheus renderer
         # skips missing quantile keys).
-        if recent:
-            out["window_p50"] = quantile(recent, 0.50)
-            out["window_p95"] = quantile(recent, 0.95)
-            out["window_p99"] = quantile(recent, 0.99)
+        out.update((f"window_{k}", v) for k, v in window.percentiles().items())
         return out
 
 
@@ -188,7 +193,7 @@ class MetricsRegistry:
             }
             if reset_windows:
                 for series in self._series.values():
-                    series.window.clear()
+                    series.clear_window()
             return out
 
     def reset(self) -> None:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.obs.sketch import QuantileSketch
 from repro.obs.slo import (
     DEFAULT_TARGETS,
     SLOMonitor,
@@ -103,23 +102,6 @@ class TestStagePercentiles:
         assert set(pcts) == {"admit", "execute", "request"}
         assert pcts["request"]["count"] == 20
         assert pcts["execute"]["p99"] >= pcts["execute"]["p50"]
-
-    def test_merge_stage_sketch_matches_local_observation(self):
-        values = [0.05 * (i + 1) for i in range(40)]
-        local = SLOMonitor(clock=FakeClock())
-        for v in values:
-            local.observe_request(duration_s=v, success=True,
-                                  stages={"execute": v})
-
-        shard_a, shard_b = QuantileSketch(), QuantileSketch()
-        shard_a.extend(values[:13])
-        shard_b.extend(values[13:])
-        remote = SLOMonitor(clock=FakeClock())
-        remote.merge_stage_sketch("execute", shard_a.to_dict())
-        remote.merge_stage_sketch("execute", shard_b.to_dict())
-
-        assert (remote.stage_percentiles()["execute"]
-                == local.stage_percentiles()["execute"])
 
 
 class TestOfflineReport:

@@ -68,6 +68,21 @@ class TestInfoEndpoints:
         assert (status, body) == (
             200, {"schedulers": available_schedulers()})
 
+    def test_admission_needs_no_stats_snapshot(self, gateway, monkeypatch):
+        """The admission view reads the controller and the batcher, not
+        the operational snapshot."""
+        from repro.errors import ServiceError
+
+        status, before = call(gateway, "GET", "/v1/admission")
+        assert status == 200
+        assert before["batching"] == gateway.service.stats()["batching"]
+
+        def broken_stats():
+            raise ServiceError("job state invariant violated")
+
+        monkeypatch.setattr(gateway.service, "stats", broken_stats)
+        assert call(gateway, "GET", "/v1/admission") == (200, before)
+
     def test_metrics(self, gateway):
         status, body = call(gateway, "GET", "/v1/metrics")
         assert status == 200

@@ -1,9 +1,14 @@
 """Metrics registry: counters, series, quantiles, histograms, timers."""
 
+import bisect
+import random
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.obs.sketch import QuantileSketch
 from repro.service.metrics import DEFAULT_BUCKETS, MetricsRegistry, quantile
 
 
@@ -56,8 +61,10 @@ class TestSeries:
             reg.observe("lat", v)
         summary = reg.snapshot()["series"]["lat"]
         assert summary["window_count"] == 3
-        assert summary["window_p50"] == pytest.approx(2.0)
-        assert summary["window_p95"] == pytest.approx(2.9)
+        # Nearest rank on the α = 1 % sketch: the bucket midpoints of 2
+        # and 3, not interpolated sample values.
+        assert summary["window_p50"] == pytest.approx(1.9936617014173446)
+        assert summary["window_p95"] == pytest.approx(2.9742334234767016)
         # Unlabelled quantile keys must not exist — scopes differ.
         assert "p50" not in summary and "p95" not in summary
 
@@ -114,8 +121,73 @@ class TestHistogramBuckets:
             reg.observe("lat", 1.0)
         summary = reg.snapshot()["series"]["lat"]
         assert summary["count"] == 2000
-        assert summary["window_count"] == 1024
+        # The first 1024 became the previous generation; both are still
+        # in the window.
+        assert summary["window_count"] == 2000
         assert summary["buckets"]["+Inf"] == 2000
+        for _ in range(1000):
+            reg.observe("lat", 1.0)
+        summary = reg.snapshot()["series"]["lat"]
+        assert summary["count"] == 3000
+        # The first generation is gone: 1024 previous + 952 current.
+        assert summary["window_count"] == 1976
+        assert summary["buckets"]["+Inf"] == 3000
+
+
+def expected_window_count(n):
+    """Samples in a window that has seen ``n`` since its last drain."""
+    return n if n <= 2048 else 1025 + (n - 1) % 1024
+
+
+class TestWindowProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(0, 3000),
+        seed=st.integers(0, 2**32 - 1),
+        drains=st.sets(st.integers(0, 3000), max_size=3),
+    )
+    # Random drains rarely leave more than 2048 samples standing, so
+    # pin the rolled-twice window and the boundaries around it.
+    @example(n=3000, seed=1, drains=set())
+    @example(n=3000, seed=2, drains={1024})
+    @example(n=2900, seed=3, drains={851})
+    @example(n=2048, seed=4, drains=set())
+    @example(n=2049, seed=5, drains=set())
+    def test_window_is_a_sketch_of_the_recent_samples(self, n, seed, drains):
+        rng = random.Random(seed)
+        samples = [10.0 ** rng.uniform(-4.0, 2.0) for _ in range(n)]
+        reg = MetricsRegistry()
+        since_drain = []
+
+        def check(summary, seen):
+            window = since_drain[len(since_drain)
+                                 - expected_window_count(len(since_drain)):]
+            assert summary["window_count"] == len(window)
+            sketch = QuantileSketch()
+            sketch.extend(window)
+            assert {key: summary[f"window_{key}"]
+                    for key in ("p50", "p95", "p99")
+                    if f"window_{key}" in summary} == sketch.percentiles()
+            # lifetime scope ignores windows and drains
+            assert summary["count"] == len(seen)
+            assert summary["sum"] == sum(seen)
+            assert summary["min"] == min(seen)
+            assert summary["max"] == max(seen)
+            ordered = sorted(seen)
+            for bound in DEFAULT_BUCKETS:
+                assert (summary["buckets"][f"{bound:g}"]
+                        == bisect.bisect_right(ordered, bound))
+            assert summary["buckets"]["+Inf"] == len(seen)
+
+        for i, value in enumerate(samples):
+            if i in drains and i > 0:
+                check(reg.snapshot(reset_windows=True)["series"]["lat"],
+                      samples[:i])
+                since_drain = []
+            reg.observe("lat", value)
+            since_drain.append(value)
+        if samples:
+            check(reg.snapshot()["series"]["lat"], samples)
 
 
 class TestThreadSafety:

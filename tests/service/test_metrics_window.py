@@ -14,7 +14,7 @@ class TestResetWindows:
             reg.observe("lat", v)
         first = reg.snapshot(reset_windows=True)["series"]["lat"]
         assert first["window_count"] == 3
-        assert first["window_p50"] == pytest.approx(0.2)
+        assert first["window_p50"] == pytest.approx(0.1998668923232057)
         assert first["count"] == 3  # lifetime untouched
 
         second = reg.snapshot()["series"]["lat"]
@@ -46,8 +46,8 @@ class TestResetWindows:
         same lock ``observe`` takes, so summing ``window_count`` over all
         scrapes plus the final drain must equal the number of samples —
         a sample counted twice or dropped breaks the equality. Total
-        samples stay under the window's maxlen (1024) so the bounded
-        deque can never evict unsampled entries between scrapes.
+        samples stay under one window generation (1024) so the rolling
+        window can never drop unsampled entries between scrapes.
         """
         reg = MetricsRegistry()
         n_threads, per_thread = 4, 250

@@ -281,6 +281,36 @@ class TestFailedRequestDuration:
             self.check_recorded(svc, 0.3)
 
 
+class TestStageViewsAgree:
+    """The Prometheus stage series and ``/v1/slo`` see the same samples."""
+
+    def test_failed_calls_feed_both_views(self, monkeypatch):
+        with SchedulingService(max_workers=1, cache_size=0) as svc:
+            svc.schedule(request_dict())
+
+            def failing(*_args):
+                raise RuntimeError("compute failed")
+
+            monkeypatch.setattr(svc, "_compute", failing)
+            for _ in range(3):
+                with pytest.raises(RuntimeError, match="compute failed"):
+                    svc.schedule(request_dict())
+            series = svc.metrics.snapshot()["series"]
+            stages = svc.slo.snapshot()["stages"]
+
+        assert series["stage_batched_seconds"]["count"] == 4
+        assert stages["batched"]["count"] == 4
+        names = {name[len("stage_"):-len("_seconds")]
+                 for name in series if name.startswith("stage_")}
+        assert names == set(stages) - {"request"}
+        for name in names:
+            window = series[f"stage_{name}_seconds"]
+            assert window["count"] == stages[name]["count"] < 1024
+            # same samples, same sketch, same alpha: bit-equal
+            for p in ("p50", "p95", "p99"):
+                assert window[f"window_{p}"] == stages[name][p], (name, p)
+
+
 class TestCancelRace:
     def test_cancel_before_future_submission_wins(self, monkeypatch):
         with SchedulingService(max_workers=1, cache_size=0) as svc:
