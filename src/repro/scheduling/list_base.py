@@ -1,14 +1,21 @@
 """Budget-constrained host selection (Algorithm 2) and the scheduler API.
 
-``get_best_host`` is the paper's ``getBestHost(T, P, B_T + pot)``: it
-evaluates the used VMs plus one fresh VM per category, and ``select_host``
-picks the host with the smallest EFT among those whose incremental cost
-fits the task's allotted budget; any leftover goes back into the shared
-``pot``. When *no* host fits, the cheapest host is selected (the schedule
-must exist; the overrun then shows up in the validity metric, exactly as
-the paper's near-minimum-budget experiments do). Planners that keep their
-own evaluations up to date (the batch-mode loop of
-:mod:`repro.scheduling.ready_set`) call ``select_host`` directly.
+``get_best_host`` is the paper's ``getBestHost(T, P, B_T + pot)``: among
+the used VMs plus one fresh VM per category, it picks the host with the
+smallest EFT among those whose incremental cost fits the task's allotted
+budget; any leftover goes back into the shared ``pot``. When *no* host
+fits, the cheapest host is selected (the schedule must exist; the overrun
+then shows up in the validity metric, exactly as the paper's
+near-minimum-budget experiments do).
+
+The choice is made in one fused pass over the hosts
+(:meth:`PlanningState.best_host`), which builds a :class:`HostEvaluation`
+for the chosen host only. Under an enabled tracer, ``get_best_host`` also
+evaluates every host, only to build the ``host_selection`` record around
+that choice: tracing adds the record and never changes the decision.
+``select_host`` makes the same choice from a list of evaluations; planners
+that keep their own evaluations up to date (the batch-mode loop of
+:mod:`repro.scheduling.ready_set`) call it directly.
 """
 
 from __future__ import annotations
@@ -23,16 +30,13 @@ from ..errors import SchedulingError
 from ..obs.tracing import DecisionRecord, get_tracer
 from ..platform.cloud import CloudPlatform
 from ..workflow.dag import Workflow
-from .planning import HostEvaluation, PlanningState
+from .planning import _BUDGET_TOL, HostEvaluation, PlanningState
 from .schedule import Schedule
 
 if TYPE_CHECKING:
     from ..simulation.trace import SimulationResult
 
 __all__ = ["get_best_host", "select_host", "Scheduler", "SchedulerResult"]
-
-#: Absolute dollar slack for budget comparisons (float hygiene).
-_BUDGET_TOL = 1e-9
 
 #: Candidate evaluations kept per decision record (full count still logged).
 _MAX_LOGGED_CANDIDATES = 12
@@ -114,10 +118,15 @@ def get_best_host(
 ) -> Tuple[HostEvaluation, bool]:
     """Algorithm 2: best host for ``tid`` under ``allowance`` dollars.
 
-    Evaluates every candidate host (:meth:`PlanningState.evaluate_all`),
-    then chooses with :func:`select_host`.
+    Chooses in one pass (:meth:`PlanningState.best_host`, equal to
+    :func:`select_host` over :meth:`PlanningState.evaluate_all`); when the
+    tracer is enabled, evaluates every host to record the choice.
     """
-    return select_host(tid, state.evaluate_all(tid), allowance)
+    chosen, within = state.best_host(tid, allowance)
+    if get_tracer().enabled:
+        _record_selection(
+            tid, state.evaluate_all(tid), chosen, allowance, within)
+    return chosen, within
 
 
 @dataclass

@@ -19,12 +19,24 @@ over a VM's tasks this telescopes to exactly the rental the simulator will
 bill, keeping planner and executor consistent. Planning is *conservative*
 about uploads: every output is assumed to go through the datacenter (§V-B:
 "we made a pessimistic estimation of the cost of data transfers").
+
+Two scans share that formula. :meth:`PlanningState.evaluate_all` builds a
+:class:`HostEvaluation` per candidate host (BDT, the batch-mode loop, the
+trace record). :meth:`PlanningState.best_host` is Algorithm 2's scan fused
+with its choice: it walks one private row per enrolled VM —
+``(min(core_free), last_dispatch, window_end, speed, cost_rate)``, written
+only by :meth:`~PlanningState.enroll`, :meth:`~PlanningState.commit` and
+:meth:`~PlanningState.pin` — then the categories, computes only each
+host's EFT and cost, and builds the one evaluation it chooses. Both run the
+float operations of ``_place``, the one full Eq. 7 timeline, in its order,
+so they agree to the bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..errors import SchedulingError
 from ..platform.cloud import CloudPlatform
@@ -33,6 +45,9 @@ from ..workflow.dag import Workflow
 from .schedule import Schedule
 
 __all__ = ["HostEvaluation", "PlannedVM", "PlanningState"]
+
+#: Absolute dollar slack for budget comparisons (float hygiene).
+_BUDGET_TOL = 1e-9
 
 
 class HostEvaluation(NamedTuple):
@@ -86,6 +101,32 @@ class PlannedVM:
     tasks: List[str] = field(default_factory=list)
 
 
+def _scan_row(vm: PlannedVM) -> Tuple[float, float, float, float, float]:
+    """What :meth:`PlanningState.best_host` reads of ``vm``:
+    ``(min(core_free), last_dispatch, window_end, speed, cost_rate)``."""
+    return (
+        min(vm.core_free), vm.last_dispatch, vm.window_end,
+        vm.category.speed, vm.category.cost_rate,
+    )
+
+
+class _TaskContext(NamedTuple):
+    """The host-independent part of a ready task's evaluations.
+
+    ``remote`` is ``(ready_time, download_bytes)`` as seen from a host that
+    holds no predecessor; ``local`` the ids of the VMs that hold one (their
+    inputs are recomputed from scratch: their download bytes are not the
+    remote sum minus the local bytes, because float sums depend on their
+    order). A ready task's predecessors are all committed, so its context
+    never changes.
+    """
+
+    remote: Tuple[float, float]
+    weight: float
+    upload: float
+    local: Set[Optional[int]]
+
+
 class PlanningState:
     """Mutable planner state: enrolled VMs + per-task timelines.
 
@@ -114,6 +155,7 @@ class PlanningState:
         self.platform = platform
         self.use_conservative = use_conservative
         self.vms: List[PlannedVM] = []
+        self._rows: List[Tuple[float, float, float, float, float]] = []
         self.assignment: Dict[str, Optional[int]] = {}
         self.order: List[str] = []
         self.finish: Dict[str, float] = {}
@@ -149,22 +191,23 @@ class PlanningState:
         its conservative upload time, external inputs at time 0) and then
         downloaded.
         """
-        task = self.wf.task(tid)
-        nbytes = task.external_input
+        assignment, finish = self.assignment, self.finish
+        bandwidth = self.platform.bandwidth
+        nbytes = self.wf.task(tid).external_input
         ready = 0.0
         for pred, data in self.wf.predecessors(tid).items():
-            if pred not in self.assignment:
+            if pred not in assignment:
                 raise SchedulingError(
                     f"evaluating {tid!r} before predecessor {pred!r} is scheduled"
                 )
-            if vm_id is not None and self.assignment[pred] == vm_id:
+            if vm_id is not None and assignment[pred] == vm_id:
                 # Data are local; the dependency still gates the start at
                 # the producer's finish (binding on multi-core hosts).
-                if self.finish[pred] > ready:
-                    ready = self.finish[pred]
+                if finish[pred] > ready:
+                    ready = finish[pred]
                 continue
             nbytes += data
-            at_dc = self.finish[pred] + data / self.platform.bandwidth
+            at_dc = finish[pred] + data / bandwidth
             if at_dc > ready:
                 ready = at_dc
         return ready, nbytes
@@ -197,30 +240,108 @@ class PlanningState:
         """Evaluations on every used VM plus one fresh VM per category.
 
         Equal to :meth:`evaluate` host by host, in the order "VMs by id,
-        then categories". The host-independent context — inputs as seen
-        from a host that holds no predecessor, the planning weight, the
-        upload time — is computed once; only the VMs that hold a
-        predecessor recompute their inputs, from scratch (their download
-        bytes are not the remote sum minus the local bytes, because float
-        sums depend on their order).
+        then categories". The task's context is computed once; only the
+        VMs that hold a predecessor recompute their inputs.
         """
-        remote = self._inputs_at_dc(tid, None)
-        weight = self.planning_weight(tid)
-        upload = self._upload_time(tid)
-        local = {self.assignment[pred] for pred in self.wf.predecessors(tid)}
-        out = [
-            self._place(
-                tid, vm, vm.category,
-                self._inputs_at_dc(tid, vm.vm_id) if vm.vm_id in local else remote,
-                weight, upload,
-            )
-            for vm in self.vms
-        ]
+        context = self._context(tid)
+        remote, weight, upload, _ = context
+        out = [self._evaluate_on(tid, context, vm) for vm in self.vms]
         out.extend(
             self._place(tid, None, cat, remote, weight, upload)
             for cat in self.platform.categories
         )
         return out
+
+    def best_host(
+        self, tid: str, allowance: float
+    ) -> Tuple[HostEvaluation, bool]:
+        """Algorithm 2's choice for ``tid`` under ``allowance`` dollars.
+
+        Equal to ``select_host(tid, self.evaluate_all(tid), allowance)``
+        (:func:`repro.scheduling.list_base.select_host`, without its trace
+        record): the smallest ``(eft, cost)`` among the hosts whose cost
+        fits, else the smallest ``(cost, eft)`` and ``False``; the first of
+        equals in the order "VMs by id, then categories" wins. One pass
+        computes each host's EFT and cost only; the chosen host alone gets
+        a :class:`HostEvaluation`.
+        """
+        context = self._context(tid)
+        remote, weight, upload, local = context
+        ready, download_bytes = remote
+        bandwidth = self.platform.bandwidth
+        download = download_bytes / bandwidth
+        limit = allowance + _BUDGET_TOL
+        best = cheapest = None
+        best_eft = best_cost = cheap_eft = cheap_cost = math.inf
+        # Hosts are numbered VMs first (by id), then categories; the float
+        # operations below are _place's, in its order.
+        for host, (free, last, prev_end, speed, rate) in enumerate(self._rows):
+            inputs_ready, delay = ready, download
+            if host in local:
+                inputs_ready, nbytes = self._inputs_at_dc(tid, host)
+                delay = nbytes / bandwidth
+            t_begin = free  # max(free, inputs_ready, last), first of equals
+            if inputs_ready > t_begin:
+                t_begin = inputs_ready
+            if last > t_begin:
+                t_begin = last
+            eft = t_begin + delay + weight / speed
+            upload_end = eft + upload
+            window_end = prev_end
+            if eft > window_end:
+                window_end = eft
+            if upload_end > window_end:
+                window_end = upload_end
+            cost = (window_end - prev_end) * rate
+            if cost <= limit:
+                if eft < best_eft or (eft == best_eft and cost < best_cost):
+                    best, best_eft, best_cost = host, eft, cost
+            elif best is None and (
+                cost < cheap_cost or (cost == cheap_cost and eft < cheap_eft)
+            ):
+                cheapest, cheap_cost, cheap_eft = host, cost, eft
+        categories = self.platform.categories
+        for host, category in enumerate(categories, len(self._rows)):
+            prev_end = ready + category.boot_time
+            eft = prev_end + download + weight / category.speed
+            upload_end = eft + upload
+            window_end = prev_end
+            if eft > window_end:
+                window_end = eft
+            if upload_end > window_end:
+                window_end = upload_end
+            cost = (window_end - prev_end) * category.cost_rate
+            if cost <= limit:
+                if eft < best_eft or (eft == best_eft and cost < best_cost):
+                    best, best_eft, best_cost = host, eft, cost
+            elif best is None and (
+                cost < cheap_cost or (cost == cheap_cost and eft < cheap_eft)
+            ):
+                cheapest, cheap_cost, cheap_eft = host, cost, eft
+        # best stays None only when no host fits; every host then went
+        # through the cheapest branch.
+        chosen, within = (best, True) if best is not None else (cheapest, False)
+        if chosen < len(self.vms):
+            return self._evaluate_on(tid, context, self.vms[chosen]), within
+        category = categories[chosen - len(self.vms)]
+        return self._place(tid, None, category, remote, weight, upload), within
+
+    def _context(self, tid: str) -> _TaskContext:
+        """``tid``'s host-independent context (all predecessors committed)."""
+        return _TaskContext(
+            self._inputs_at_dc(tid, None),
+            self.planning_weight(tid),
+            self._upload_time(tid),
+            {self.assignment[pred] for pred in self.wf.predecessors(tid)},
+        )
+
+    def _evaluate_on(
+        self, tid: str, context: _TaskContext, vm: PlannedVM
+    ) -> HostEvaluation:
+        """:meth:`evaluate` on the used ``vm``, given ``tid``'s context."""
+        remote, weight, upload, local = context
+        inputs = self._inputs_at_dc(tid, vm.vm_id) if vm.vm_id in local else remote
+        return self._place(tid, vm, vm.category, inputs, weight, upload)
 
     def _place(
         self,
@@ -262,19 +383,20 @@ class PlanningState:
         """Apply a host decision; returns the (possibly new) VM."""
         if ev.tid in self.assignment:
             raise SchedulingError(f"task {ev.tid!r} committed twice")
-        if ev.is_new_vm:
+        if ev.vm_id is None:
             vm = self.enroll(ev.category, ev.t_begin, ev.window_start)
+        elif self._rows[ev.vm_id][0] > ev.t_begin + 1e-9:  # min(core_free)
+            raise SchedulingError(
+                f"stale evaluation for {ev.tid!r}: VM {ev.vm_id} moved on"
+            )
         else:
-            vm = self.vms[ev.vm_id]  # type: ignore[index]
-            if min(vm.core_free) > ev.t_begin + 1e-9:
-                raise SchedulingError(
-                    f"stale evaluation for {ev.tid!r}: VM {vm.vm_id} moved on"
-                )
-        earliest = min(range(len(vm.core_free)), key=vm.core_free.__getitem__)
+            vm = self.vms[ev.vm_id]
+        earliest = vm.core_free.index(min(vm.core_free))
         vm.core_free[earliest] = ev.eft
         vm.last_dispatch = max(vm.last_dispatch, ev.download_start)
         vm.window_end = ev.window_end
         vm.tasks.append(ev.tid)
+        self._rows[vm.vm_id] = _scan_row(vm)
         self.assignment[ev.tid] = vm.vm_id
         self.order.append(ev.tid)
         self.finish[ev.tid] = ev.eft
@@ -296,6 +418,7 @@ class PlanningState:
             last_dispatch=ready_at,
         )
         self.vms.append(vm)
+        self._rows.append(_scan_row(vm))
         return vm
 
     def pin(
@@ -312,12 +435,11 @@ class PlanningState:
         outputs are at the datacenter, local to no candidate host.
         """
         if vm is not None:
-            earliest = min(
-                range(len(vm.core_free)), key=vm.core_free.__getitem__
-            )
+            earliest = vm.core_free.index(min(vm.core_free))
             vm.core_free[earliest] = max(vm.core_free[earliest], finish)
             vm.window_end = max(vm.window_end, window_end)
             vm.tasks.append(tid)
+            self._rows[vm.vm_id] = _scan_row(vm)
         self.assignment[tid] = vm.vm_id if vm is not None else None
         self.order.append(tid)
         self.finish[tid] = finish

@@ -31,7 +31,7 @@ from .list_base import (
     SchedulerResult,
     select_host,
 )
-from .planning import HostEvaluation, PlanningState
+from .planning import HostEvaluation, PlanningState, _TaskContext
 
 __all__ = [
     "MaxMinBudgScheduler",
@@ -49,12 +49,14 @@ class _ReadySetBudgScheduler(Scheduler):
     ``(*selection_key, topological position)``. Subclasses provide the
     key.
 
-    Each ready task keeps one row of host evaluations, in
-    :meth:`PlanningState.evaluate_all` order (VMs by id, then
-    categories). A commit changes one VM only, so it re-evaluates that
-    VM's column of every row (a newly enrolled VM adds the column); the
-    other entries stay exact, because a ready task's inputs are fixed and
-    the other hosts did not move. Fresh-VM entries never change.
+    Each ready task keeps its context (inputs, planning weight, upload
+    time, the VMs holding a predecessor) and one row of host evaluations,
+    in :meth:`PlanningState.evaluate_all` order (VMs by id, then
+    categories), both from its enrolment. A commit changes one VM only,
+    so it re-evaluates that VM's column of every row from the kept
+    context (a newly enrolled VM adds the column); the other entries stay
+    exact, because a ready task's inputs are fixed and the other hosts did
+    not move. Fresh-VM entries never change.
     """
 
     name = "abstract_ready_set"
@@ -81,15 +83,16 @@ class _ReadySetBudgScheduler(Scheduler):
         pending_preds: Dict[str, int] = {
             tid: len(wf.predecessors(tid)) for tid in wf.tasks
         }
-        rows: Dict[str, List[HostEvaluation]] = {
-            tid: state.evaluate_all(tid)
+        # ready task -> (its context, its row of host evaluations)
+        rows: Dict[str, Tuple[_TaskContext, List[HostEvaluation]]] = {
+            tid: (state._context(tid), state.evaluate_all(tid))
             for tid in wf.topological_order
             if pending_preds[tid] == 0
         }
 
         while rows:
             scored = []
-            for tid, row in rows.items():
+            for tid, (_, row) in rows.items():
                 ev, within = select_host(tid, row, plan.share(tid) + pot)
                 key = (*self._selection_key(row, ev), position[tid])
                 scored.append((key, ev, within))
@@ -99,8 +102,8 @@ class _ReadySetBudgScheduler(Scheduler):
             if not within:
                 all_within = False
             del rows[ev.tid]
-            for tid, row in rows.items():
-                refreshed = state.evaluate(tid, vm, vm.category)
+            for tid, (context, row) in rows.items():
+                refreshed = state._evaluate_on(tid, context, vm)
                 if ev.is_new_vm:
                     row.insert(vm.vm_id, refreshed)
                 else:
@@ -108,7 +111,7 @@ class _ReadySetBudgScheduler(Scheduler):
             for succ in wf.successors(ev.tid):
                 pending_preds[succ] -= 1
                 if pending_preds[succ] == 0:
-                    rows[succ] = state.evaluate_all(succ)
+                    rows[succ] = (state._context(succ), state.evaluate_all(succ))
 
         return SchedulerResult(
             schedule=state.to_schedule(),

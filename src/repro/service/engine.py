@@ -798,8 +798,9 @@ class SchedulingService:
         completed must be in a terminal state (worker threads set the
         state under the service lock *before* their future resolves), so a
         violation means containment in ``_run_job`` is broken — better a
-        loud :class:`~repro.errors.ServiceError` here than a job stuck
-        "running" forever.
+        loud :class:`RuntimeError` here than a job stuck "running"
+        forever. It is a server fault, not a bad request, so it is not a
+        :class:`~repro.errors.ServiceError` (the gateway answers 500).
         """
         by_state = {state: 0 for state in JobState.ALL}
         stuck: List[str] = []
@@ -813,7 +814,7 @@ class SchedulingService:
                 ):
                     stuck.append(job.record.job_id)
         if stuck:
-            raise ServiceError(
+            raise RuntimeError(
                 f"job state invariant violated: finished futures with "
                 f"non-terminal records: {stuck[:5]}"
             )

@@ -277,7 +277,7 @@ class _Handler(BaseHTTPRequestHandler):
             status_code = 404 if isinstance(exc, JobNotFoundError) else 400
             status, payload = status_code, {"error": str(exc),
                                             "trace_id": trace_id}
-        except Exception as exc:  # pragma: no cover - defensive
+        except Exception as exc:
             status, payload = 500, {"error": f"internal error: {exc}",
                                     "trace_id": trace_id}
         if isinstance(payload, _SSEStream):

@@ -1,13 +1,15 @@
-"""The incremental host scan equals a from-scratch one.
+"""The incremental host scans equal a from-scratch one.
 
-:meth:`PlanningState.evaluate_all` computes a task's host-independent
-context once, and the batch-mode loop (``minmin_budg``, ``maxmin_budg``,
+:meth:`PlanningState.best_host` is Algorithm 2's scan fused with its
+choice, and the batch-mode loop (``minmin_budg``, ``maxmin_budg``,
 ``sufferage_budg``) keeps one evaluation row per ready task that each
 commit refreshes in one column. These properties recompute every
 evaluation with :meth:`PlanningState.evaluate`, host by host, and require
-exact equality; a digest pins the decision records the loop emits.
+exact equality (bit equality for the fused choice); digests pin the
+decision records the planners emit.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -16,8 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.experiments.budgets import high_budget, minimal_budget
 from repro.obs.tracing import Tracer, use_tracer
-from repro.platform.cloud import PAPER_PLATFORM
+from repro.platform.cloud import PAPER_PLATFORM, CloudPlatform
 from repro.scheduling import heft, ready_set
+from repro.scheduling.heft import HeftBudgScheduler
+from repro.scheduling.list_base import select_host
 from repro.scheduling.planning import PlanningState
 from repro.scheduling.registry import make_scheduler
 from repro.workflow.generators import generate
@@ -37,12 +41,23 @@ cases = st.tuples(
 )
 
 
-def workflow_and_budget(case):
+#: The paper's platform with two cores per VM (the multi-core extension).
+DUAL_CORE_PLATFORM = CloudPlatform(
+    categories=tuple(
+        dataclasses.replace(category, cores=2)
+        for category in PAPER_PLATFORM.categories
+    ),
+    bandwidth=PAPER_PLATFORM.bandwidth,
+    name="paper-dual-core",
+)
+
+
+def workflow_and_budget(case, platform=PAPER_PLATFORM):
     family, n_tasks, seed, position = case
     n_tasks = max(n_tasks, MIN_TASKS.get(family, 0))
     wf = generate(family, n_tasks, rng=seed, sigma_ratio=0.5).freeze()
-    low = minimal_budget(wf, PAPER_PLATFORM)
-    high = high_budget(wf, PAPER_PLATFORM)
+    low = minimal_budget(wf, platform)
+    high = high_budget(wf, platform)
     return wf, max(low + position * (high - low), 0.0)
 
 
@@ -82,39 +97,92 @@ def test_ready_set_rows_equal_from_scratch_evaluations(algorithm, case):
     assert set(checked) == set(wf.tasks)
 
 
-@settings(max_examples=20, deadline=None)
-@given(case=cases)
-def test_evaluate_all_equals_per_host_evaluate(case):
-    wf, budget = workflow_and_budget(case)
+def bits(evaluation):
+    """``evaluation`` with every float as its exact hex spelling."""
+    return tuple(
+        float.hex(value) if isinstance(value, float) else value
+        for value in evaluation
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    case=cases,
+    platform=st.sampled_from([PAPER_PLATFORM, DUAL_CORE_PLATFORM]),
+    use_conservative=st.booleans(),
+)
+def test_fused_choice_equals_select_host_from_scratch(
+    case, platform, use_conservative
+):
+    wf, budget = workflow_and_budget(case, platform)
     checked = []
 
     class CheckingState(PlanningState):
-        def evaluate_all(self, tid):
-            evaluations = super().evaluate_all(tid)
-            assert evaluations == from_scratch(self, tid)
+        def best_host(self, tid, allowance):
+            chosen, within = super().best_host(tid, allowance)
+            expected, expected_within = select_host(
+                tid, from_scratch(self, tid), allowance)
+            assert (bits(chosen), within) == (bits(expected), expected_within)
             checked.append(tid)
-            return evaluations
+            return chosen, within
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(heft, "PlanningState", CheckingState)
-        make_scheduler("heft_budg").schedule(wf, PAPER_PLATFORM, budget)
+        HeftBudgScheduler(use_conservative=use_conservative).schedule(
+            wf, platform, budget)
     assert sorted(checked) == sorted(wf.tasks)
 
 
-#: algorithm -> (host_selection records, sha256 of their sorted JSON
-#: lines) on montage-30 (rng 2018) at the medium budget, recorded before
-#: the batch-mode loop cached its evaluations. Sorted, because the loop
-#: then visited the ready set in string-hash order.
+def plan_bits(result):
+    schedule = result.schedule
+    return (
+        schedule.order,
+        schedule.assignment,
+        {vm: category.name for vm, category in schedule.categories.items()},
+        float.hex(result.planned_makespan),
+        float.hex(result.planned_vm_cost),
+        float.hex(result.leftover_pot),
+        result.within_budget_plan,
+    )
+
+
+@pytest.mark.parametrize("family", ["montage", "cybershake"])
+@pytest.mark.parametrize("position", [-0.5, 0.5, 1.5])
+def test_tracing_does_not_change_the_heft_budg_plan(family, position):
+    wf, budget = workflow_and_budget((family, 40, 5, position))
+    untraced = make_scheduler("heft_budg").schedule(wf, PAPER_PLATFORM, budget)
+    tracer = Tracer()
+    with use_tracer(tracer):
+        traced = make_scheduler("heft_budg").schedule(
+            wf, PAPER_PLATFORM, budget)
+    assert plan_bits(traced) == plan_bits(untraced)
+    assert sum(
+        record.kind == "host_selection" for record in tracer.decisions
+    ) == wf.n_tasks
+
+
+#: algorithm -> (record kind, records of that kind, sha256 of their sorted
+#: JSON lines) on montage-30 (rng 2018) at the medium budget. The batch-mode
+#: entries were recorded before that loop cached its evaluations (sorted,
+#: because the loop then visited the ready set in string-hash order); the
+#: ``heft_budg`` and ``bdt`` entries before Algorithm 2's scan was fused
+#: with its choice.
 DECISION_DIGESTS = {
-    "minmin_budg": (
-        131, "26ded04c3e232516a96c88ca2a0b908feefa57e55edebf567110c6a33d53b2f1"),
-    "sufferage_budg": (
-        131, "759517a3b121fcb7c2538d9e9d6de4ad6381b62ea6b6e96dcba7f1383578a4d5"),
+    "minmin_budg": ("host_selection", 131,
+                    "26ded04c3e232516a96c88ca2a0b908feefa57e55edebf567110c6a33d53b2f1"),
+    "sufferage_budg": ("host_selection", 131,
+                       "759517a3b121fcb7c2538d9e9d6de4ad6381b62ea6b6e96dcba7f1383578a4d5"),
+    "heft_budg": ("host_selection", 30,
+                  "f946906f79184a1f13db6a07c4cb9cd7454b91310002eed0d4ff8a71d41e0267"),
+    "bdt": ("budget_fill", 30,
+            "cdc7ef9af13eaa8fdfc0cb5407adc0197bc3ac5e1c72ae17f44853b36d795c6d"),
 }
 
 
 @pytest.mark.parametrize("algorithm", sorted(DECISION_DIGESTS))
 def test_host_selection_records_are_pinned(algorithm):
+    """The records of each planner's choices (BDT's are ``budget_fill``)."""
+    kind, n_records, expected = DECISION_DIGESTS[algorithm]
     wf = generate("montage", 30, rng=2018, sigma_ratio=0.5).freeze()
     low = minimal_budget(wf, PAPER_PLATFORM)
     high = high_budget(wf, PAPER_PLATFORM)
@@ -125,7 +193,7 @@ def test_host_selection_records_are_pinned(algorithm):
     lines = sorted(
         json.dumps(record.to_dict(), sort_keys=True)
         for record in tracer.decisions
-        if record.kind == "host_selection"
+        if record.kind == kind
     )
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert (len(lines), digest) == DECISION_DIGESTS[algorithm]
+    assert (len(lines), digest) == (n_records, expected)

@@ -1,11 +1,14 @@
 """Unit tests for getBestHost (Algorithm 2)."""
 
+import dataclasses
 import math
 
 import pytest
 
-from repro.scheduling.list_base import get_best_host
+from repro import Workflow
+from repro.scheduling.list_base import get_best_host, select_host
 from repro.scheduling.planning import PlanningState
+from repro.units import GFLOP
 
 
 class TestGetBestHost:
@@ -53,3 +56,40 @@ class TestGetBestHost:
         cheapest = min(e.cost for e in evaluations)
         ev, within = get_best_host(state, "A", cheapest)
         assert within
+
+
+class TestFusedChoiceTieBreaks:
+    """The one-pass choice breaks exact ties as ``select_host`` does."""
+
+    @pytest.fixture
+    def bag(self):
+        return Workflow.from_spec(
+            "bag",
+            tasks=[("X", 10 * GFLOP, 0.0), ("Y", 10 * GFLOP, 0.0),
+                   ("T", 100 * GFLOP, 0.0)],
+            edges=[],
+        )
+
+    def test_first_of_equal_eft_and_cost_wins(self, bag, simple_platform):
+        small = simple_platform.categories[0]
+        state = PlanningState(
+            bag, dataclasses.replace(simple_platform, categories=(small,)))
+        state.enroll(small, 0.0, 0.0)
+        state.enroll(small, 0.0, 0.0)
+        # VM 0, VM 1 and a fresh small VM all finish at 100 s for $0.1.
+        chosen, within = state.best_host("T", math.inf)
+        assert (chosen, within) == select_host(
+            "T", state.evaluate_all("T"), math.inf)
+        assert (chosen.vm_id, chosen.eft, within) == (0, 100.0, True)
+
+    def test_cheapest_breaks_cost_ties_by_eft(self, bag, simple_platform):
+        state = PlanningState(bag, simple_platform)
+        small = simple_platform.categories[0]
+        state.pin("X", state.enroll(small, 0.0, 0.0), 50.0, 1000.0)
+        state.pin("Y", state.enroll(small, 0.0, 0.0), 10.0, 1000.0)
+        # Both VMs fit T inside their billed windows (cost 0); a negative
+        # allowance leaves no host affordable.
+        chosen, within = state.best_host("T", -1.0)
+        assert (chosen, within) == select_host(
+            "T", state.evaluate_all("T"), -1.0)
+        assert (chosen.vm_id, chosen.cost, within) == (1, 0.0, False)

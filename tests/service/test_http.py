@@ -88,6 +88,26 @@ class TestInfoEndpoints:
         assert status == 200
         assert "jobs" in body and "cache" in body
 
+    def test_broken_job_invariant_is_a_server_error(self):
+        """A finished job whose record says ``running`` is the server's
+        fault: 500, not a client's 400."""
+        from repro.service.engine import JobState
+
+        service = SchedulingService(max_workers=1, cache_size=0)
+        gw = start_gateway(service)
+        try:
+            job_id = service.submit(request_dict())
+            service.result(job_id, timeout=60)
+            with service._lock:
+                service._jobs[job_id].record.state = JobState.RUNNING
+            status, body = call(gw, "GET", "/v1/metrics")
+            assert status == 500
+            assert body["error"].startswith(
+                "internal error: job state invariant violated")
+        finally:
+            gw.shutdown()
+            service.close()
+
 
 class TestScheduleEndpoint:
     def test_sync_schedule(self, gateway):

@@ -4,8 +4,9 @@ The incremental planner (Eq. 7) and the event-driven executor implement the
 same platform semantics; run deterministically (conservative weights,
 infinite DC capacity) on the *same* schedule, every task's planned EFT must
 equal its simulated compute end, and the planner's conservative cost
-envelope must upper-bound the simulated VM rental. The envelope property
-at the end holds the same bounds for every registered scheduler.
+envelope must upper-bound the simulated VM rental. The properties at the
+end hold the EFT equality for every list planner and the envelope bounds
+for every registered scheduler.
 """
 
 import math
@@ -15,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro import PAPER_PLATFORM, generate, heft_order
 from repro.experiments.budgets import high_budget, minimal_budget
+from repro.scheduling import bdt, heft, ready_set
 from repro.scheduling.planning import PlanningState
-from repro.scheduling.registry import SCHEDULERS
+from repro.scheduling.registry import SCHEDULERS, make_scheduler
 from repro.simulation import evaluate_schedule
 
 
@@ -103,3 +105,47 @@ def test_every_scheduler_plan_bounds_its_simulation(
         slack = sum(vm.category.cost_rate for vm in sim.vms)
         rental = sim.cost.vm_rental - sim.cost.vm_initial
         assert rental <= result.planned_vm_cost + slack, name
+
+
+#: The planners that build their schedule in one PlanningState.
+LIST_PLANNERS = (
+    "heft", "heft_budg", "minmin", "minmin_budg", "maxmin", "maxmin_budg",
+    "sufferage", "sufferage_budg", "bdt",
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    family=st.sampled_from(["montage", "ligo", "cybershake"]),
+    n_tasks=st.integers(min_value=12, max_value=40),
+    seed=st.integers(min_value=0, max_value=10_000),
+    position=st.floats(min_value=0.0, max_value=1.5),
+)
+def test_every_list_planner_eft_equals_simulated_finish(
+    family, n_tasks, seed, position
+):
+    """Each list planner's planned EFT is the deterministic replay's
+    compute end, task by task, at budgets from ``B_min`` to past
+    ``B_high`` (the fixed greedy case above, for every list planner)."""
+    wf = generate(family, n_tasks, rng=seed, sigma_ratio=0.5)
+    b_min = minimal_budget(wf, PAPER_PLATFORM)
+    budget = b_min + position * (high_budget(wf, PAPER_PLATFORM) - b_min)
+    states = []
+
+    class RecordingState(PlanningState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            states.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (heft, ready_set, bdt):
+            mp.setattr(module, "PlanningState", RecordingState)
+        for name in LIST_PLANNERS:
+            states.clear()
+            result = make_scheduler(name).schedule(wf, PAPER_PLATFORM, budget)
+            (state,) = states
+            sim = evaluate_schedule(wf, PAPER_PLATFORM, result.schedule)
+            for tid in wf.tasks:
+                assert sim.tasks[tid].compute_end == pytest.approx(
+                    state.finish[tid], rel=1e-9, abs=1e-6
+                ), (name, tid)
