@@ -31,6 +31,7 @@ from typing import List, Optional, Tuple
 from ..obs.tracing import DecisionRecord, get_tracer
 from ..platform.cloud import CloudPlatform
 from ..platform.vm import VMCategory
+from ..simulation._replay import ScheduleReplay
 from ..simulation.executor import evaluate_schedule
 from ..simulation.trace import SimulationResult
 from ..workflow.analysis import heft_order
@@ -204,12 +205,14 @@ class CgPlusScheduler(Scheduler):
         base = CgScheduler().schedule(wf, platform, budget)
         current = base.schedule
         result = evaluate_schedule(wf, platform, current)
+        replay = ScheduleReplay(wf, platform, current.order)
 
         for _ in range(self.max_rounds_factor * wf.n_tasks):
-            move = self._best_move(wf, platform, current, result, budget)
+            move = self._best_move(wf, platform, current, result, budget, replay)
             if move is None:
                 break
-            current, result = move
+            current = move
+            result = evaluate_schedule(wf, platform, current)
 
         return SchedulerResult.simulated(current, result, budget, self.name)
 
@@ -220,24 +223,29 @@ class CgPlusScheduler(Scheduler):
         current: Schedule,
         result: SimulationResult,
         budget: float,
-    ) -> Optional[Tuple[Schedule, SimulationResult]]:
-        """The (task, VM) re-assignment maximizing ΔT/Δc, if any qualifies."""
+        replay: ScheduleReplay,
+    ) -> Optional[Schedule]:
+        """The (task, VM) re-assignment maximizing ΔT/Δc, if any qualifies.
+
+        Candidates are scored by ``replay`` (the event executor's makespan
+        and cost, bit for bit); only the chosen one is simulated in full,
+        for the next round's critical path.
+        """
         critical = critical_tasks_of(wf, current, result)
         best_ratio = 0.0
-        best: Optional[Tuple[Schedule, SimulationResult]] = None
+        best: Optional[Tuple[str, int, VMCategory]] = None
         for tid in critical:
             for vm_id, category in current.moves(tid, platform.categories):
-                candidate = current.reassigned(tid, vm_id, category)
-                cand_result = evaluate_schedule(wf, platform, candidate)
-                delta_t = result.makespan - cand_result.makespan
-                delta_c = cand_result.total_cost - result.total_cost
+                score = replay.evaluate_move(current, tid, vm_id, category)
+                delta_t = result.makespan - score.makespan
+                delta_c = score.total_cost - result.total_cost
                 # [25]'s rule: only time-for-money trades are eligible.
                 if delta_t <= _EPS or delta_c <= _EPS:
                     continue
-                if budget != math.inf and cand_result.total_cost > budget:
+                if budget != math.inf and score.total_cost > budget:
                     continue
                 ratio = delta_t / delta_c
                 if ratio > best_ratio + _EPS:
                     best_ratio = ratio
-                    best = (candidate, cand_result)
-        return best
+                    best = (tid, vm_id, category)
+        return None if best is None else current.reassigned(*best)

@@ -5,7 +5,9 @@ moving it to each other used VM and to a fresh VM of each category, fully
 re-simulating the workflow for each candidate (with the task list ``ListT``
 fixed), and keep the move when it shortens the makespan while the *total*
 simulated cost ``c_tot`` stays within the initial budget — thereby spending
-whatever the conservative first pass left over.
+whatever the conservative first pass left over. Candidates are scored by
+the max-plus replay of :mod:`repro.simulation._replay`, compiled once per
+pass, which returns the event executor's makespan and cost bit for bit.
 
 HEFTBUDG+ walks ``ListT`` in HEFT priority order; HEFTBUDG+INV in reverse.
 Complexity is ``O(n (n+e) p)`` — roughly two orders of magnitude above
@@ -14,10 +16,12 @@ HEFTBUDG (Table III), which is the paper's scalability trade-off.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..obs.tracing import DecisionRecord, get_tracer
 from ..platform.cloud import CloudPlatform
+from ..platform.vm import VMCategory
+from ..simulation._replay import ScheduleReplay
 from ..simulation.executor import evaluate_schedule
 from ..workflow.dag import Workflow
 from .heft import HeftBudgScheduler
@@ -42,8 +46,9 @@ def refine_schedule(
 
     Tasks are visited in dispatch order (``reverse=True`` for the INV
     variant). Every candidate move is evaluated with the deterministic
-    simulator (conservative weights); a move is kept when it strictly
-    improves the makespan and the simulated total cost respects ``budget``.
+    simulator (conservative weights, by the replay); a move is kept when it
+    strictly improves the makespan and the simulated total cost respects
+    ``budget``.
     """
     schedule.validate(wf)
     tracer = get_tracer()
@@ -51,34 +56,35 @@ def refine_schedule(
         "schedule.refine", workflow=wf.name, n_tasks=wf.n_tasks,
         budget=budget, reverse=reverse,
     ) as span:
+        replay = ScheduleReplay(wf, platform, schedule.order)
         current = schedule
-        base = evaluate_schedule(wf, platform, current)
-        best_makespan = base.makespan
-        initial_makespan = base.makespan
+        best_makespan = replay.evaluate(current).makespan
+        initial_makespan = best_makespan
         n_evaluated = 0
         n_moves = 0
 
         visit = list(reversed(current.order)) if reverse else list(current.order)
         for round_idx, tid in enumerate(visit):
             current_vm = current.vm_of(tid)
-            best_candidate: Optional[Schedule] = None
-            best_vm: Optional[int] = None
+            best_move: Optional[Tuple[int, VMCategory]] = None
             for vm_id, category in current.moves(tid, platform.categories):
-                candidate = current.reassigned(tid, vm_id, category)
                 n_evaluated += 1
-                makespan = _accept(wf, platform, candidate, budget, best_makespan)
-                if makespan is not None:
-                    best_makespan = makespan
-                    best_candidate = candidate
-                    best_vm = vm_id
-            if best_candidate is not None:
+                score = replay.evaluate_move(current, tid, vm_id, category)
+                if (
+                    score.makespan < best_makespan - _GAIN_TOL
+                    and score.total_cost <= budget
+                ):
+                    best_makespan = score.makespan
+                    best_move = (vm_id, category)
+            if best_move is not None:
+                best_vm, category = best_move
                 if tracer.enabled:
                     tracer.decide(
                         DecisionRecord(
                             kind="refine_move",
                             task=tid,
                             chosen_vm=best_vm,
-                            category=best_candidate.categories[best_vm].name,
+                            category=category.name,
                             eft=best_makespan,
                             allowance=budget,
                             round=round_idx,
@@ -89,30 +95,14 @@ def refine_schedule(
                             },
                         )
                     )
-                current = best_candidate
+                current = current.reassigned(tid, best_vm, category)
                 n_moves += 1
         span.set(
             n_evaluations=n_evaluated, n_moves=n_moves,
+            n_fallbacks=replay.n_fallbacks,
             makespan_before=initial_makespan, makespan_after=best_makespan,
         )
     return current
-
-
-def _accept(
-    wf: Workflow,
-    platform: CloudPlatform,
-    candidate: Schedule,
-    budget: float,
-    best_makespan: float,
-) -> Optional[float]:
-    """Simulated makespan if the candidate improves within budget, else None."""
-    result = evaluate_schedule(wf, platform, candidate)
-    if (
-        result.makespan < best_makespan - _GAIN_TOL
-        and result.total_cost <= budget
-    ):
-        return result.makespan
-    return None
 
 
 class HeftBudgPlusScheduler(Scheduler):

@@ -53,7 +53,16 @@ The event loop never scans the live flows to find the next completion:
 
 Both regimes snap alike: a flow with at most ``_EPS_BYTES`` left finishes
 at the settle instant, and one finishing within ``_EPS_TIME`` (relative)
-of the clock counts as finished now.
+of the clock counts as finished now. In the event loop this reads:
+:meth:`~FlowPool.next_completion` returns ``now`` when the earliest finish
+lies within ``_EPS_TIME·max(1, now)`` of it, and :meth:`~FlowPool.advance`
+pops every flow with ``finish <= t + _EPS_TIME·max(1, t)``. So at infinite
+capacity a flow is *reported* at the first loop clock ``c`` at or after
+its start with ``finish <= c + _EPS_TIME·max(1, c)`` — its own finish
+unless an event or another flow's report lands just before it — up to
+1e-9 relative early. Bunched uploads meet this often (every montage-200
+``heft_budg`` replication has such a flow), and the max-plus replay of
+:mod:`._replay` reproduces it.
 """
 
 from __future__ import annotations

@@ -33,6 +33,8 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..faults.spot import CheckpointConfig
 
@@ -44,6 +46,7 @@ from ..platform.pricing import CostBreakdown
 from ..rng import RngLike, as_generator
 from ..scheduling.schedule import Schedule
 from ..workflow.dag import Workflow
+from ..workflow.task import TRUNCATION_FLOOR_FRACTION
 from .bandwidth import FlowPool
 from .events import EventQueue
 from .trace import SimulationResult, TaskRecord, VMRecord
@@ -72,9 +75,33 @@ def mean_weights(wf: Workflow) -> Dict[str, float]:
 
 
 def sample_weights(wf: Workflow, rng: RngLike = None) -> Dict[str, float]:
-    """One stochastic draw of actual weights (truncated Gaussian, §III-A)."""
+    """One stochastic draw of actual weights (truncated Gaussian, §III-A).
+
+    One vectorized ``normal`` call over the tasks with σ > 0, in topological
+    order, floored at ``TRUNCATION_FLOOR_FRACTION`` of the mean: value for
+    value the draw of calling each task's :meth:`StochasticWeight.sample
+    <repro.workflow.task.StochasticWeight.sample>` in turn. A σ = 0 task
+    keeps its mean and draws nothing.
+    """
     gen = as_generator(rng)
-    return {tid: wf.task(tid).weight.sample(gen) for tid in wf.topological_order}
+    weights: Dict[str, float] = {}
+    drawn: List[str] = []
+    means: List[float] = []
+    sigmas: List[float] = []
+    for tid in wf.topological_order:
+        weight = wf.task(tid).weight
+        weights[tid] = float(weight.mean)
+        if weight.sigma > 0.0:
+            drawn.append(tid)
+            means.append(weight.mean)
+            sigmas.append(weight.sigma)
+    if drawn:
+        mean = np.array(means, dtype=float)
+        values = np.maximum(
+            gen.normal(mean, sigmas), TRUNCATION_FLOOR_FRACTION * mean
+        )
+        weights.update(zip(drawn, values.tolist()))
+    return weights
 
 
 def run_replications(task: Mapping) -> List[tuple]:

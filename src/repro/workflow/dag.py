@@ -47,6 +47,8 @@ class Workflow:
     Freezing validates acyclicity and computes the topological order.
     """
 
+    _totals: Optional[Tuple[float, float, float]] = None
+
     def __init__(self, name: str = "workflow") -> None:
         self.name = name
         self._tasks: Dict[str, Task] = {}
@@ -208,20 +210,34 @@ class Workflow:
         """Total bytes produced by ``tid`` for its successors."""
         return sum(self._succ[tid].values())
 
+    def _data_totals(self) -> Tuple[float, float, float]:
+        """Edge, external-input and external-output bytes; cached once
+        frozen (every replay's cost accounting reads them)."""
+        totals = self._totals
+        if totals is None:
+            totals = (
+                sum(data for s in self._succ.values() for data in s.values()),
+                sum(t.external_input for t in self._tasks.values()),
+                sum(t.external_output for t in self._tasks.values()),
+            )
+            if self._frozen:
+                self._totals = totals
+        return totals
+
     @property
     def total_edge_data(self) -> float:
         """``d_max``: total bytes carried by all internal edges."""
-        return sum(data for s in self._succ.values() for data in s.values())
+        return self._data_totals()[0]
 
     @property
     def external_input_data(self) -> float:
         """``size(d_in,DC)``: bytes entering the cloud from outside."""
-        return sum(t.external_input for t in self._tasks.values())
+        return self._data_totals()[1]
 
     @property
     def external_output_data(self) -> float:
         """``size(d_DC,out)``: bytes leaving the cloud."""
-        return sum(t.external_output for t in self._tasks.values())
+        return self._data_totals()[2]
 
     @property
     def total_mean_work(self) -> float:

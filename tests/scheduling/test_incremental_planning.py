@@ -166,7 +166,8 @@ def test_tracing_does_not_change_the_heft_budg_plan(family, position):
 #: entries were recorded before that loop cached its evaluations (sorted,
 #: because the loop then visited the ready set in string-hash order); the
 #: ``heft_budg`` and ``bdt`` entries before Algorithm 2's scan was fused
-#: with its choice.
+#: with its choice; the Algorithm 5 (``refine_move``) entries before its
+#: candidates were scored by the max-plus replay.
 DECISION_DIGESTS = {
     "minmin_budg": ("host_selection", 131,
                     "26ded04c3e232516a96c88ca2a0b908feefa57e55edebf567110c6a33d53b2f1"),
@@ -176,6 +177,12 @@ DECISION_DIGESTS = {
                   "f946906f79184a1f13db6a07c4cb9cd7454b91310002eed0d4ff8a71d41e0267"),
     "bdt": ("budget_fill", 30,
             "cdc7ef9af13eaa8fdfc0cb5407adc0197bc3ac5e1c72ae17f44853b36d795c6d"),
+    # recorded before the max-plus replay scored the candidates; no move
+    # pays off on this instance (test_refine_pins.py pins ones that do)
+    "heft_budg_plus": ("refine_move", 0,
+                       "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "heft_budg_plus_inv": ("refine_move", 0,
+                           "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 
 

@@ -22,9 +22,14 @@ the comparison is exact.
   batch-mode loop cached its host evaluations per (task, host).
 
 * **Infinite datacenter capacity** (the paper's main model) must match
-  exactly. A transfer there finishes at ``start + size/bw`` (Eq. 7) and no
-  other flow changes that, so nothing in the replay depends on how the
-  pool tracks progress.
+  exactly. A transfer there finishes at ``start + size/bw`` (Eq. 7), and
+  the pool reports it at the first loop clock ``c`` at or after its start
+  with ``finish <= c + _EPS_TIME·max(1, c)`` — its own finish unless an
+  event or another flow's report lands up to 1e-9 relative before it (the
+  snap of :mod:`repro.simulation.bandwidth`). Nothing else in the replay
+  depends on how the pool tracks progress. Three rows depend on the snap:
+  without it, ``cg-montage``, ``montage`` and ``minmin_budg-montage-200``
+  change.
 * **20 MB/s datacenter**: makespan and cost within ``1e-12`` relative,
   ``n_vms`` and ``within_budget`` exact. Under contention the rows were
   recorded from a pool that kept each flow's remaining bytes and
